@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix-hints lint-json lint-vet test race check bench bench-json bench-check bench-compare fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
+.PHONY: all build vet lint lint-fix-hints lint-json lint-vet test loc race check bench bench-json bench-check bench-compare bench-vet fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
 
 all: check
 
@@ -42,6 +42,16 @@ lint-vet:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per root-module package, plus the total: the code-
+# size figure tracked next to the BENCH numbers (a change that removes
+# lines at equal bytes and equal speed is a win).
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 race:
 	$(GO) test -race ./...
@@ -93,17 +103,15 @@ bench:
 
 # Machine-readable perf baseline: run the perf suite and write a
 # schema-versioned JSON report (ns/op, allocs/op, schedule metrics,
-# derived speedups — no wall-clock timestamps). BENCH_FLAGS=-short for
-# CI-smoke iteration counts.
-BENCH_OUT ?= BENCH_10.json
+# the derived plan-cache speedup — no wall-clock timestamps).
+# BENCH_FLAGS=-short for CI-smoke iteration counts.
+BENCH_OUT ?= BENCH_12.json
 bench-json:
 	$(GO) run ./cmd/benchrunner -out $(BENCH_OUT) $(BENCH_FLAGS)
 
 # Absolute-expectation gate: run the suite and enforce the allocation
-# caps (always — the arena-backed SLRH benches must stay at zero
-# allocs/op) plus the parallel-speedup floor (on ≥4-core machines).
-# Prints one verdict line per gate; a gate that could not run says SKIP
-# instead of passing vacuously.
+# caps (the arena-backed SLRH benches must stay at zero allocs/op). A
+# run with no capped benchmark prints SKIP instead of passing vacuously.
 bench-check:
 	$(GO) run ./cmd/benchrunner -out $(BENCH_OUT) $(BENCH_FLAGS) -check
 
@@ -115,11 +123,18 @@ bench-check:
 # Full-iteration runs use the strict 10% default; CI smoke passes a
 # wider TOLERANCE because shared runners add double-digit run-to-run
 # noise that even a min-of-iters estimator can't remove.
-# Usage: make bench-compare BASE=BENCH_10.json [TOLERANCE=0.25]
-BASE ?= BENCH_10.json
+# Usage: make bench-compare BASE=BENCH_12.json [TOLERANCE=0.25]
+BASE ?= BENCH_12.json
 TOLERANCE ?= 0.10
 bench-compare:
 	$(GO) run ./cmd/benchrunner -compare $(BENCH_OUT) -base $(BASE) -tolerance $(TOLERANCE)
+
+# The fleet benchmark (bench/) is a module of its own, so `go build
+# ./...` never compiles it. Vet and test it against the current tree so
+# a root API change that breaks the benchmark fails here, not when the
+# benchmark runs.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism smoke for the fault engine: one canned churn plan (loss,
 # transient failure, link degradation, rejoin) run twice through

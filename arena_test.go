@@ -1,12 +1,10 @@
 // Differential tests for the per-run arena (internal/core/arena.go): the
 // arena must be invisible in the results — every SLRH variant must
-// produce a bit-for-bit identical schedule through RunArena, on the
-// first run and on every reuse of the same arena, at every shard count,
-// with the plan cache on and off, and with fault plans active. The file
-// runs under -race in CI, which also exercises the persistent worker
-// pool's dispatch. The steady-state allocation pin at the bottom is the
-// zero-alloc tentpole's unit-level gate (benchrunner -check holds the
-// benchmark-level one).
+// produce a bit-for-bit identical schedule on a fresh arena (core.Run)
+// and on every reuse of one arena, with the plan cache on and off, with
+// fault plans and arrivals active. The steady-state allocation pin at
+// the bottom is the zero-alloc property's unit-level gate (benchrunner
+// -check holds the benchmark-level one).
 package adhocgrid_test
 
 import (
@@ -26,67 +24,40 @@ import (
 // configuration: the first grows the buffers, the rest prove reuse.
 const arenaRuns = 3
 
-// assertArenaTransparent runs cfg through plain Run, then arenaRuns
-// times through one poolless arena and — when the config prices in
-// parallel — one arena with a persistent worker pool, and fails unless
-// every schedule is identical to the plain run's export.
+// assertArenaTransparent runs cfg across the cache on/off × arena
+// fresh/reused matrix — plain Run, then arenaRuns runs through one
+// reused arena — and fails unless every schedule is identical to the
+// cached plain run's export.
 func assertArenaTransparent(t *testing.T, inst *workload.Instance, cfg core.Config, label string) {
 	t.Helper()
+	cfg.DisablePlanCache = false
 	want := runExport(t, inst, cfg)
-	arenas := []struct {
-		name    string
-		workers int
-	}{{"poolless", 0}}
-	if cfg.ScoreWorkers > 1 || cfg.PoolWorkers > 1 {
-		arenas = append(arenas, struct {
-			name    string
-			workers int
-		}{"pooled", 2})
-	}
-	for _, ar := range arenas {
-		a := core.NewArena(ar.workers)
+	for _, disable := range []bool{false, true} {
+		c := cfg
+		c.DisablePlanCache = disable
+		if got := runExport(t, inst, c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cacheOff=%v plain Run differs from the cached run", label, disable)
+		}
+		a := core.NewArena()
 		for run := 0; run < arenaRuns; run++ {
-			res, err := core.RunArena(inst, cfg, a)
+			res, err := core.RunArena(inst, c, a)
 			if err != nil {
-				a.Close()
-				t.Fatalf("%s: arena %s run %d: %v", label, ar.name, run, err)
+				t.Fatalf("%s: cacheOff=%v arena run %d: %v", label, disable, run, err)
 			}
 			got := res.State.Export()
 			if !reflect.DeepEqual(got, want) {
-				a.Close()
-				t.Fatalf("%s: arena %s run %d differs from plain Run\narena: mapped=%d T100=%d TEC=%g AET=%g\nplain: mapped=%d T100=%d TEC=%g AET=%g",
-					label, ar.name, run,
+				t.Fatalf("%s: cacheOff=%v arena run %d differs from plain Run\narena: mapped=%d T100=%d TEC=%g AET=%g\nplain: mapped=%d T100=%d TEC=%g AET=%g",
+					label, disable, run,
 					got.Metrics.Mapped, got.Metrics.T100, got.Metrics.TEC, got.Metrics.AETSeconds,
 					want.Metrics.Mapped, want.Metrics.T100, want.Metrics.TEC, want.Metrics.AETSeconds)
 			}
 		}
-		a.Close()
 	}
 }
 
-// arenaConfigs sweeps the serial path, the parallel path at shard counts
-// {1, 2, NumCPU}, and the cache-off variants of both — the same matrix
-// as the parallel differential suite, with the arena bolted on.
-func arenaConfigs(base core.Config) []core.Config {
-	out := []core.Config{base}
-	for _, shards := range shardCounts() {
-		c := base
-		c.PoolWorkers = shards
-		c.ScoreWorkers = shards
-		out = append(out, c)
-	}
-	for k, n := 0, len(out); k < n; k++ {
-		c := out[k]
-		c.DisablePlanCache = true
-		out = append(out, c)
-	}
-	return out
-}
-
-// TestArenaDifferentialSuite proves the tentpole's acceptance criterion:
-// SLRH-1/2/3 through RunArena — reused arenas included — produce
-// schedules identical to plain Run on every grid case, across the
-// serial/parallel and cache-on/off matrix.
+// TestArenaDifferentialSuite: SLRH-1/2/3 through RunArena — reused
+// arenas included — produce schedules identical to plain Run on every
+// grid case, with the plan cache on and off.
 func TestArenaDifferentialSuite(t *testing.T) {
 	env, err := exp.NewEnv(exp.Bench())
 	if err != nil {
@@ -96,9 +67,7 @@ func TestArenaDifferentialSuite(t *testing.T) {
 	for _, c := range grid.AllCases {
 		inst := env.Instance(c, 0, 0)
 		for _, v := range []core.Variant{core.SLRH1, core.SLRH2, core.SLRH3} {
-			for _, cfg := range arenaConfigs(core.DefaultConfig(v, w)) {
-				assertArenaTransparent(t, inst, cfg, v.String()+"/case"+c.String())
-			}
+			assertArenaTransparent(t, inst, core.DefaultConfig(v, w), v.String()+"/case"+c.String())
 		}
 	}
 }
@@ -113,7 +82,19 @@ func TestArenaDifferentialFaultPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := env.Instance(grid.CaseA, 0, 0)
+	pl := fullFaultPlan(t, inst)
 	w := sched.NewWeights(0.5, 0.3)
+	for _, v := range []core.Variant{core.SLRH1, core.SLRH2, core.SLRH3} {
+		cfg := core.DefaultConfig(v, w)
+		cfg.Faults = pl
+		assertArenaTransparent(t, inst, cfg, v.String()+"/faultplan")
+	}
+}
+
+// fullFaultPlan is a transient failure, a loss/rejoin churn pair and a
+// link-degradation window, timed as fractions of inst's horizon.
+func fullFaultPlan(t *testing.T, inst *workload.Instance) *fault.Plan {
+	t.Helper()
 	spec := "fail:t7@" + itoa(inst.TauCycles/16) +
 		",lose:1@" + itoa(inst.TauCycles/8) +
 		",slow:links*0.5@[" + itoa(inst.TauCycles/6) + "," + itoa(inst.TauCycles) + "]" +
@@ -122,13 +103,92 @@ func TestArenaDifferentialFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pl
+}
+
+// assertFanOutIgnored fails unless cfg with the deprecated scoring
+// fan-out fields set produces the schedule of cfg left at its defaults:
+// scoring is serial, and those fields must stay inert.
+func assertFanOutIgnored(t *testing.T, inst *workload.Instance, cfg core.Config, label string) {
+	t.Helper()
+	want := runExport(t, inst, cfg)
+	for _, workers := range []int{-1, 2, 4} {
+		c := cfg
+		c.ScoreWorkers = workers
+		c.PoolWorkers = workers
+		if got := runExport(t, inst, c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ScoreWorkers=PoolWorkers=%d changed the schedule", label, workers)
+		}
+	}
+}
+
+// TestParallelDifferentialSuite: setting the deprecated fan-out fields
+// leaves SLRH-1/2/3 schedules unchanged on every grid case.
+func TestParallelDifferentialSuite(t *testing.T) {
+	env, err := exp.NewEnv(exp.Bench())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sched.NewWeights(0.5, 0.3)
+	for _, c := range grid.AllCases {
+		inst := env.Instance(c, 0, 0)
+		for _, v := range []core.Variant{core.SLRH1, core.SLRH2, core.SLRH3} {
+			assertFanOutIgnored(t, inst, core.DefaultConfig(v, w), v.String()+"/case"+c.String())
+		}
+	}
+}
+
+// TestParallelDifferentialFaultPlan repeats the check with the full
+// fault surface active.
+func TestParallelDifferentialFaultPlan(t *testing.T) {
+	env, err := exp.NewEnv(exp.Bench())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := env.Instance(grid.CaseA, 0, 0)
+	pl := fullFaultPlan(t, inst)
+	w := sched.NewWeights(0.5, 0.3)
 	for _, v := range []core.Variant{core.SLRH1, core.SLRH2, core.SLRH3} {
 		cfg := core.DefaultConfig(v, w)
 		cfg.Faults = pl
-		for _, c := range arenaConfigs(cfg) {
-			assertArenaTransparent(t, inst, c, v.String()+"/faultplan")
-		}
+		assertFanOutIgnored(t, inst, cfg, v.String()+"/faultplan")
 	}
+}
+
+// TestArenaDifferentialArrivals checks the arrival gating: a subtask
+// released mid-run must enter the pools only once its arrival cycle
+// passes, identically on fresh and reused arenas, cache on and off.
+func TestArenaDifferentialArrivals(t *testing.T) {
+	p := workload.DefaultParams(96)
+	p.ArrivalRate = 0.01
+	s, err := workload.Generate(p, rng.New(exp.DefaultSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Instantiate(grid.CaseA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sched.NewWeights(0.5, 0.3)
+	for _, v := range []core.Variant{core.SLRH1, core.SLRH3} {
+		assertArenaTransparent(t, inst, core.DefaultConfig(v, w), v.String()+"/arrivals")
+	}
+}
+
+// TestArenaDifferentialDefaultScale runs one larger instance (|T|=256,
+// the Default() experiment scale) through SLRH-1 to catch divergences
+// that only appear once pools grow past the Bench() sizes.
+func TestArenaDifferentialDefaultScale(t *testing.T) {
+	s, err := workload.Generate(workload.DefaultParams(256), rng.New(exp.DefaultSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Instantiate(grid.CaseA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(core.SLRH1, sched.NewWeights(0.5, 0.3))
+	assertArenaTransparent(t, inst, cfg, "SLRH-1/n256")
 }
 
 // TestArenaReuseAcrossInstances re-targets one arena at instances of
@@ -137,8 +197,7 @@ func TestArenaDifferentialFaultPlan(t *testing.T) {
 func TestArenaReuseAcrossInstances(t *testing.T) {
 	w := sched.NewWeights(0.5, 0.3)
 	cfg := core.DefaultConfig(core.SLRH1, w)
-	a := core.NewArena(0)
-	defer a.Close()
+	a := core.NewArena()
 	for _, round := range []struct {
 		n int
 		c grid.Case
@@ -162,9 +221,9 @@ func TestArenaReuseAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestArenaSteadyStateAllocs pins the zero-alloc tentpole at the unit
+// TestArenaSteadyStateAllocs pins the zero-alloc property at the unit
 // level: after warm-up, a full SLRH run on a reused arena performs no
-// steady-state heap allocations — serial and parallel-with-pool alike.
+// steady-state heap allocations, with the plan cache on and off.
 // benchrunner -check gates the same property on the recorded benchmarks.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -180,30 +239,17 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	}
 	w := sched.NewWeights(0.5, 0.3)
 	cases := []struct {
-		name    string
-		workers int
-		cfg     func() core.Config
+		name     string
+		uncached bool
 	}{
-		{"serial_cached", 0, func() core.Config {
-			return core.DefaultConfig(core.SLRH1, w)
-		}},
-		{"serial_uncached", 0, func() core.Config {
-			cfg := core.DefaultConfig(core.SLRH1, w)
-			cfg.DisablePlanCache = true
-			return cfg
-		}},
-		{"parallel_pooled", 2, func() core.Config {
-			cfg := core.DefaultConfig(core.SLRH1, w)
-			cfg.PoolWorkers = 2
-			cfg.ScoreWorkers = 2
-			return cfg
-		}},
+		{"serial_cached", false},
+		{"serial_uncached", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg()
-			a := core.NewArena(tc.workers)
-			defer a.Close()
+			cfg := core.DefaultConfig(core.SLRH1, w)
+			cfg.DisablePlanCache = tc.uncached
+			a := core.NewArena()
 			op := func() {
 				if _, err := core.RunArena(inst, cfg, a); err != nil {
 					t.Fatal(err)

@@ -10,7 +10,6 @@
 package adhocgrid_test
 
 import (
-	"runtime"
 	"testing"
 
 	"adhocgrid"
@@ -334,36 +333,6 @@ func BenchmarkSLRH(b *testing.B) {
 	}
 }
 
-// BenchmarkSLRHParallel is the tentpole's headline measurement: SLRH-1
-// at |T|=1024, serial vs the parallel candidate prefill + scorer at
-// GOMAXPROCS workers. The schedules are byte-identical (parallel_test.go
-// proves it); only the wall time may differ. On hosts with ≥4 cores the
-// parallel variant is expected ≥1.5x faster; the committed BENCH_10.json
-// records the ratio measured on the baseline host alongside its
-// gomaxprocs.
-func BenchmarkSLRHParallel(b *testing.B) {
-	inst := benchInstance(b, 1024, grid.CaseA, 0)
-	w := sched.NewWeights(0.5, 0.3)
-	b.Run("serial", func(b *testing.B) {
-		cfg := core.DefaultConfig(core.SLRH1, w)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(inst, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		cfg := core.DefaultConfig(core.SLRH1, w)
-		cfg.PoolWorkers = runtime.GOMAXPROCS(0)
-		cfg.ScoreWorkers = runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(inst, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkMaxMax(b *testing.B) {
 	benchHeuristic(b, func(inst *workload.Instance) (sched.Metrics, error) {
 		r, err := maxmax.Run(inst, maxmax.Config{Weights: sched.NewWeights(1, 0)})
@@ -418,31 +387,6 @@ func itoa(v int64) string {
 		v /= 10
 	}
 	return string(buf[pos:])
-}
-
-// BenchmarkAblationParallelScore compares sequential candidate scoring
-// against the concurrent read-only scorer (the paper's §II parallel-
-// hardware direction). On multi-core hosts the parallel variant reduces
-// per-run latency; results are identical by construction.
-func BenchmarkAblationParallelScore(b *testing.B) {
-	inst := benchInstance(b, 192, grid.CaseA, 0)
-	w := sched.NewWeights(0.5, 0.3)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(inst, core.DefaultConfig(core.SLRH1, w)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel4", func(b *testing.B) {
-		cfg := core.DefaultConfig(core.SLRH1, w)
-		cfg.ScoreWorkers = 4
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(inst, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkNoiseRobustness replays an SLRH-1 schedule under the §I link-

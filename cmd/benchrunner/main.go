@@ -4,7 +4,7 @@
 //
 // Run the suite and write a report:
 //
-//	benchrunner -out BENCH_10.json
+//	benchrunner -out BENCH_12.json
 //	benchrunner -out bench.json -short          # CI smoke iterations
 //	benchrunner -out bench.json -filter n256    # subset by name
 //
@@ -12,10 +12,9 @@
 // benchmark whose ns/op or allocs/op grew more than -tolerance, or on
 // missing coverage):
 //
-//	benchrunner -compare bench.json -base BENCH_10.json
+//	benchrunner -compare bench.json -base BENCH_12.json
 //
-// Enforce a fresh report's absolute expectations (allocation caps
-// always; the parallel-speedup floor when the machine has the cores):
+// Enforce a fresh report's absolute expectations (the allocation caps):
 //
 //	benchrunner -out bench.json -check
 package main
@@ -43,11 +42,10 @@ func run(args []string, out *os.File) error {
 		short     = fs.Bool("short", false, "reduced iteration counts (CI smoke)")
 		iters     = fs.Int("iters", 0, "override every benchmark's iteration count (0 = suite defaults)")
 		filter    = fs.String("filter", "", "comma-separated name substrings selecting a subset of the suite")
-		workers   = fs.Int("workers", 0, "parallel-scorer fan-out for the *_parallel benches (0 = GOMAXPROCS)")
 		compare   = fs.String("compare", "", "report to gate (skips running the suite)")
 		base      = fs.String("base", "", "baseline report for -compare")
 		tolerance = fs.Float64("tolerance", perf.DefaultTolerance, "relative ns/op growth allowed before failing")
-		check     = fs.Bool("check", false, "after running, fail unless the report meets the alloc caps and speedup expectations")
+		check     = fs.Bool("check", false, "after running, fail unless the report meets the alloc caps")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,7 +53,7 @@ func run(args []string, out *os.File) error {
 	if *compare != "" {
 		return runCompare(*compare, *base, *tolerance, out)
 	}
-	opts := perf.Options{Iters: *iters, Short: *short, Workers: *workers}
+	opts := perf.Options{Iters: *iters, Short: *short}
 	if *filter != "" {
 		opts.Filter = strings.Split(*filter, ",")
 	}
@@ -77,27 +75,17 @@ func run(args []string, out *os.File) error {
 	}
 	if *check {
 		verdict, cerr := perf.CheckVerdict(report)
-		for _, g := range verdict.Gates {
-			// A gate that could not run is not evidence; say so per gate
-			// instead of printing the same line as a measured pass.
-			if g.Vacuous {
-				//lint:errdrop best-effort status line to stdout; exit code carries the verdict
-				fmt.Fprintf(out, "benchrunner: gate %s SKIP (vacuous: %s)\n", g.Name, g.Reason)
-			} else {
-				//lint:errdrop best-effort status line to stdout; exit code carries the verdict
-				fmt.Fprintf(out, "benchrunner: gate %s ran (%s)\n", g.Name, g.Reason)
-			}
-		}
 		if cerr != nil {
 			return cerr
 		}
+		// A check that could not run is not evidence; say so instead of
+		// printing the same line as a measured pass.
 		if verdict.Vacuous {
 			//lint:errdrop best-effort status line to stdout; exit code carries the verdict
-			fmt.Fprintf(out, "benchrunner: check SKIP (vacuous: %s) — no gate could measure anything on this run\n",
-				verdict.Reason)
+			fmt.Fprintf(out, "benchrunner: check SKIP (vacuous: %s)\n", verdict.Reason)
 		} else {
 			//lint:errdrop best-effort status line to stdout; exit code carries the verdict
-			fmt.Fprintln(out, "benchrunner: expectations met")
+			fmt.Fprintf(out, "benchrunner: expectations met (%s)\n", verdict.Reason)
 		}
 	}
 	return nil

@@ -55,12 +55,11 @@ func run(args []string) error {
 		return err
 	}
 	cfg := serve.Config{
-		Workers:      *opts.workers,
-		ScoreWorkers: *opts.scoreWorkers,
-		QueueSize:    *opts.queue,
-		CacheSize:    *opts.cache,
-		RunHistory:   *opts.runs,
-		MaxN:         *opts.maxN,
+		Workers:    *opts.workers,
+		QueueSize:  *opts.queue,
+		CacheSize:  *opts.cache,
+		RunHistory: *opts.runs,
+		MaxN:       *opts.maxN,
 	}
 	switch {
 	case *opts.smoke:
@@ -79,7 +78,6 @@ func run(args []string) error {
 type options struct {
 	addr           *string
 	workers        *int
-	scoreWorkers   *int
 	queue          *int
 	cache          *int
 	runs           *int
@@ -97,7 +95,6 @@ func newFlags() (*flag.FlagSet, options) {
 	return fs, options{
 		addr:         fs.String("addr", ":8080", "listen address"),
 		workers:      fs.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)"),
-		scoreWorkers: fs.Int("score-workers", 0, "per-run candidate-scoring fan-out; results are identical at every value (0 = GOMAXPROCS/workers, -1 = serial)"),
 		queue:        fs.Int("queue", 64, "accepted-but-waiting run bound; overflow answers 429"),
 		cache:        fs.Int("cache", 1024, "result-cache capacity, responses"),
 		runs:         fs.Int("runs", 256, "retained trace documents"),
@@ -242,7 +239,6 @@ func runSmoke(cfg serve.Config) error {
 		"slrhd_cache_hits_total 1",
 		"slrhd_cache_misses_total 1",
 		`slrhd_runs_total{heuristic="slrh1"} 1`,
-		"slrhd_score_workers",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			return fmt.Errorf("metrics missing %q", want)

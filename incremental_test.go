@@ -2,7 +2,7 @@
 // plan cache (internal/core/plancache.go) must be invisible in the results
 // — every SLRH variant must produce a bit-for-bit identical schedule with
 // the cache enabled and disabled, across the whole Bench() suite, under
-// machine loss, Poisson arrivals, and concurrent scoring.
+// machine loss, fault plans and Poisson arrivals.
 package adhocgrid_test
 
 import (
@@ -131,25 +131,5 @@ func TestPlanCacheDifferentialArrivals(t *testing.T) {
 	w := sched.NewWeights(0.5, 0.3)
 	for _, v := range []core.Variant{core.SLRH1, core.SLRH2, core.SLRH3} {
 		assertCacheTransparent(t, inst, core.DefaultConfig(v, w), v.String()+"/arrivals")
-	}
-}
-
-// TestPlanCacheDifferentialParallelScore proves the cache composes with
-// the concurrent read-only scorer.
-func TestPlanCacheDifferentialParallelScore(t *testing.T) {
-	env, err := exp.NewEnv(exp.Bench())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := env.Instance(grid.CaseA, 0, 1)
-	w := sched.NewWeights(0.5, 0.3)
-	base := core.DefaultConfig(core.SLRH1, w)
-	sequential := runExport(t, inst, base)
-
-	par := base
-	par.ScoreWorkers = 4
-	assertCacheTransparent(t, inst, par, "SLRH-1/parallel4")
-	if got := runExport(t, inst, par); !reflect.DeepEqual(got, sequential) {
-		t.Error("parallel scoring with cache differs from sequential scoring")
 	}
 }

@@ -3,25 +3,24 @@ package core
 import (
 	"sync"
 
-	"adhocgrid/internal/par"
 	"adhocgrid/internal/sched"
 	"adhocgrid/internal/workload"
 )
 
 // Per-run arena (DESIGN.md §19). One SLRH run allocates a schedule
-// state, a runner's pools and caches, and — on the parallel paths —
-// goroutines per timestep. None of that is inherent to a single run:
-// every buffer reaches a natural high-water mark and can be reused
-// verbatim by the next run over the same (or a same-shaped) instance.
+// state and a runner's pools and caches. None of that is inherent to a
+// single run: every buffer reaches a natural high-water mark and can be
+// reused verbatim by the next run over the same (or a same-shaped)
+// instance.
 // An Arena owns all of it, so in steady state RunArena touches the
 // allocator only incidentally (allocs/op ≈ 0, gated by the perf suite
 // and benchrunner -check).
 
 // Arena owns the reusable storage of SLRH runs: the schedule state, the
-// runner (candidate pool, plan cache, pricing scratch), the Result, and
-// optionally a persistent scoring worker pool. RunArena behaves exactly
-// like Run — byte-identical schedules, proven by the differential arena
-// tests — but reuses all of it across calls.
+// runner (candidate pool, plan cache, pricing scratch) and the Result.
+// Run is RunArena on a fresh arena; reusing one across calls yields
+// byte-identical schedules (proven by the differential arena tests)
+// without rebuilding any of it.
 //
 // Ownership contract: the *Result returned by RunArena (including
 // Result.State) is valid only until the next RunArena call on the same
@@ -36,35 +35,17 @@ type Arena struct {
 	res Result
 }
 
-// NewArena returns an empty arena. workers > 1 attaches a persistent
-// par.Pool of that many goroutines servicing the parallel pricing paths
-// (Config.ScoreWorkers / PoolWorkers) without per-timestep goroutine
-// spawns; Close must then be called to stop them. workers <= 1 attaches
-// nothing: parallel configs fall back to one-shot goroutines, and there
-// is nothing to close (Close stays safe) — the right shape for servers
-// whose test suites gate on goroutine leaks.
-func NewArena(workers int) *Arena {
-	a := &Arena{}
-	if workers > 1 {
-		a.run.wpool = par.NewPool(workers)
-	}
-	return a
-}
+// NewArena returns an empty arena.
+func NewArena() *Arena { return &Arena{} }
 
-// Close stops the arena's persistent workers, if any. The arena remains
-// usable afterwards (dispatch falls back to one-shot goroutines).
-func (a *Arena) Close() {
-	if a.run.wpool != nil {
-		a.run.wpool.Close()
-		a.run.wpool = nil
-	}
-}
-
-// RunArena is Run with storage reuse: identical results, allocation-free
-// steady state. A nil arena degrades to plain Run.
+// RunArena executes the SLRH heuristic on the instance, reusing a's
+// storage: allocation-free in steady state. A nil arena means a fresh
+// one. The run is deterministic: machines are visited in numeric order,
+// pools are sorted by descending objective score with subtask id as the
+// tie-break, and ties between versions prefer the primary.
 func RunArena(inst *workload.Instance, cfg Config, a *Arena) (*Result, error) {
 	if a == nil {
-		return Run(inst, cfg)
+		a = NewArena()
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -83,10 +64,9 @@ func RunArena(inst *workload.Instance, cfg Config, a *Arena) (*Result, error) {
 // ArenaPool is a free list of arenas for concurrent servers: Get returns
 // a parked (or fresh) arena, Put parks it again after the run. Parked
 // arenas keep their grown buffers, so a server in steady state admits
-// scheduling requests without rebuilding runner state. Pooled arenas are
-// created without persistent workers — leak-gated servers must own no
-// long-lived goroutines — and every Get must be paired with a Put on all
-// paths (enforced by the adhoclint pairwise analyzer).
+// scheduling requests without rebuilding runner state. Every Get must be
+// paired with a Put on all paths (enforced by the adhoclint pairwise
+// analyzer).
 type ArenaPool struct {
 	mu   sync.Mutex
 	free []*Arena
@@ -95,7 +75,7 @@ type ArenaPool struct {
 // NewArenaPool returns an empty pool.
 func NewArenaPool() *ArenaPool { return &ArenaPool{} }
 
-// Get pops a parked arena, or builds a fresh poolless one.
+// Get pops a parked arena, or builds a fresh one.
 func (p *ArenaPool) Get() *Arena {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -105,7 +85,7 @@ func (p *ArenaPool) Get() *Arena {
 		p.free = p.free[:n-1]
 		return a
 	}
-	return NewArena(0)
+	return NewArena()
 }
 
 // Put parks an arena for reuse. The caller must not touch the arena, or

@@ -43,9 +43,8 @@ import (
 // cached: Hypothetical depends on the aggregate T100/TEC/AET, which move
 // with every commit, so scores are recomputed from the cached plans.
 //
-// The cache is owned by a single runner goroutine; the concurrent scoring
-// path (Config.ScoreWorkers) resolves hits and stores misses sequentially
-// and only prices the misses in parallel, so it needs no locking.
+// The cache is owned by a single runner goroutine and needs no locking:
+// every lookup, pricing and store happens on the serial pool-build path.
 
 // planPair is the pricing of one (subtask, machine) candidate at both
 // versions. okP/okS report whether the version admitted a plan; the

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"adhocgrid/internal/fault"
-	"adhocgrid/internal/par"
 	"adhocgrid/internal/sched"
 	"adhocgrid/internal/workload"
 )
@@ -96,19 +95,12 @@ type Config struct {
 	// reservation (§IV design choice; see BenchmarkAblationCommEnergy).
 	OptimisticComm bool
 
-	// ScoreWorkers > 1 prices one pool's candidates concurrently with the
-	// read-only planner — the software analogue of the parallel hardware
-	// (DSP/FPGA) evaluation the paper proposes (§II). Results are
-	// identical to sequential scoring. 0 or 1 scores sequentially.
+	// ScoreWorkers and PoolWorkers are read by nothing: scoring is
+	// serial (DESIGN.md §14).
+	//
+	// Deprecated: ignored; kept only because bench/ compiles against it.
 	ScoreWorkers int
-
-	// PoolWorkers > 1 prefills the candidate plan cache in parallel at
-	// the start of every timestep: the pools of all available machines
-	// are priced concurrently against the frozen state before the serial
-	// machine sweep consumes them, so the emitted plan stays byte-
-	// identical to the serial path (DESIGN.md §14). 0 or 1 disables the
-	// prefill; the knob is inert while DisablePlanCache is set (there is
-	// no cache to warm — ScoreWorkers still parallelizes per pool).
+	// Deprecated: ignored; kept only because bench/ compiles against it.
 	PoolWorkers int
 
 	// DisablePlanCache turns off the generation-tracked candidate plan
@@ -268,59 +260,25 @@ func (s *trSlab) copy(ts []sched.Transfer) []sched.Transfer {
 }
 
 // runner holds per-run scratch state so the hot loop does not allocate.
-// A zero runner is ready; the arena path (arena.go) keeps one alive
-// across runs so every buffer below reaches steady state after the first
-// run and stays there.
+// A zero runner is ready; an Arena (arena.go) keeps one alive across
+// runs so every buffer below reaches steady state after the first run
+// and stays there.
 type runner struct {
-	st         *sched.State
-	cfg        Config
-	readyBuf   []int
-	eligible   []int
-	pool       candPool
-	cache      *planCache           // nil when Config.DisablePlanCache
-	pairBuf    planPair             // pricing scratch when the cache is off
-	trScratch  []sched.Transfer     // cache-off serial pricing transfer buffer
-	revalCost  []senderCost         // reusable revalidation scratch
-	prefillBuf []pricedTask         // per-timestep parallel prefill work list
-	needBuf    []int                // per-pool parallel scoring miss list
-	scratches  []sched.PlanScratch  // one read-only pricing scratch per worker
-	workerGeom []sched.CandidateGeom // one cache-off pricing geometry per worker
-	pairsBuf   []planPair           // cache-off parallel scoring results
-	pairsTr    [][]sched.Transfer   // per-item transfer buffers for pairsBuf
-
-	// wpool, when non-nil, dispatches parallel pricing batches to
-	// persistent workers instead of spawning goroutines per timestep
-	// (arena-owned; see par.Pool). The task values below persist on the
-	// runner so handing them to the pool converts to the par.Task
-	// interface without allocating.
-	wpool     *par.Pool
-	prefillT  prefillExec
-	scoreT    scoreExec
-	uncachedT uncachedExec
+	st        *sched.State
+	cfg       Config
+	readyBuf  []int
+	eligible  []int
+	pool      candPool
+	cache     *planCache       // nil when Config.DisablePlanCache
+	pairBuf   planPair         // pricing scratch when the cache is off
+	trScratch []sched.Transfer // cache-off pricing transfer buffer
+	revalCost []senderCost     // reusable revalidation scratch
 }
 
 // Run executes the SLRH heuristic on the instance and returns the
-// resulting schedule and metrics. The run is deterministic: machines are
-// visited in numeric order, pools are sorted by descending objective score
-// with subtask id as the tie-break, and ties between versions prefer the
-// primary.
+// resulting schedule and metrics: RunArena on a fresh arena.
 func Run(inst *workload.Instance, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	st := sched.NewState(inst, cfg.Weights)
-	return runOn(st, cfg)
-}
-
-// runOn drives the clock loop on an existing state (exported via Run and
-// reused by the adaptive extension and tests) with a fresh runner.
-func runOn(st *sched.State, cfg Config) (*Result, error) {
-	var r runner
-	res := &Result{}
-	if err := r.run(st, cfg, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return RunArena(inst, cfg, nil)
 }
 
 // run drives the clock loop on st, writing the outcome into *res. The
@@ -435,9 +393,6 @@ func (r *runner) run(st *sched.State, cfg Config, res *Result) error {
 		if cfg.Adaptive != nil {
 			st.SetWeights(cfg.Adaptive.Update(st, now))
 		}
-		if cfg.PoolWorkers > 1 && r.cache != nil {
-			r.prefillPools(now)
-		}
 
 		res.Timesteps++
 		mappedBefore := st.Mapped
@@ -517,12 +472,8 @@ func (r *runner) buildPool(j int, now int64) {
 		}
 		r.eligible = append(r.eligible, i)
 	}
-	if r.cfg.ScoreWorkers > 1 && len(r.eligible) > 1 {
-		r.scoreParallel(j, now)
-	} else {
-		for _, i := range r.eligible {
-			r.poolAddBest(i, r.plansFor(i, j, now))
-		}
+	for _, i := range r.eligible {
+		r.poolAddBest(i, r.plansFor(i, j, now))
 	}
 	sort.Sort(&r.pool)
 }

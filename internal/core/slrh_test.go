@@ -321,29 +321,6 @@ func TestArrivalsSlowMappingDown(t *testing.T) {
 	}
 }
 
-func TestParallelScoringMatchesSequential(t *testing.T) {
-	inst := makeInstance(t, 128, 47, grid.CaseA)
-	w := sched.NewWeights(0.5, 0.3)
-	seq, err := Run(inst, DefaultConfig(SLRH1, w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(SLRH1, w)
-	cfg.ScoreWorkers = 4
-	par, err := Run(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Metrics.T100 != par.Metrics.T100 ||
-		seq.Metrics.AETSeconds != par.Metrics.AETSeconds ||
-		seq.Metrics.TEC != par.Metrics.TEC {
-		t.Fatalf("parallel scoring diverged: %+v vs %+v", seq.Metrics, par.Metrics)
-	}
-	if v := sim.Verify(par.State); len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
 func TestSLRH2HogsFirstMachine(t *testing.T) {
 	// SLRH-2's no-re-evaluation semantics let one machine absorb
 	// assignments whose fresh start would be far outside the horizon, so

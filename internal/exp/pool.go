@@ -21,8 +21,7 @@ import (
 // ParMap applies fn to every index in [0, n) using at most `workers`
 // concurrent goroutines (a non-positive count means sequential). fn must
 // write only to its own index's output. The implementation lives in
-// internal/par so the SLRH core's concurrent scorer can share it
-// without importing this package (exp imports core).
+// internal/par.
 func ParMap(workers, n int, fn func(k int)) {
 	par.Map(workers, n, fn)
 }

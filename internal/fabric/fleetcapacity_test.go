@@ -58,7 +58,7 @@ func getFleetReport(t *testing.T, url, query string) (int, *FleetCapacityReport)
 // in per_backend with its error but stays out of the totals.
 func TestFleetCapacityMerge(t *testing.T) {
 	b1 := stubBackend(t, `{
-		"workers": 3, "score_workers": 4, "queue_slots": 8, "backlog_seconds": 1.5,
+		"workers": 3, "queue_slots": 8, "backlog_seconds": 1.5,
 		"classes": [],
 		"models": [
 			{"heuristic": "slrh1", "alpha_seconds": 0.01, "beta_seconds_per_task": 0.001,
@@ -70,7 +70,7 @@ func TestFleetCapacityMerge(t *testing.T) {
 		]
 	}`)
 	b2 := stubBackend(t, `{
-		"workers": 5, "score_workers": 4, "queue_slots": 16, "backlog_seconds": 0.5,
+		"workers": 5, "queue_slots": 16, "backlog_seconds": 0.5,
 		"classes": [],
 		"models": [
 			{"heuristic": "slrh1", "alpha_seconds": 0.02, "beta_seconds_per_task": 0.002,

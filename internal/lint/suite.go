@@ -44,8 +44,8 @@ var ErrorHygienePackages = []string{
 
 // ConcurrencyPackages carry the module's lock-based concurrency: the
 // service's flight coalescing and admission accounting, the scheduler
-// core's arena free-list, the priority worker pool, the parallel
-// scorer, and the fabric tier's health view and batch windows.
+// core's arena free-list, the priority worker pool, the parallel-map
+// primitive, and the fabric tier's health view and batch windows.
 // lockbalance and pairwise prove their invariants path-by-path.
 var ConcurrencyPackages = []string{
 	"adhocgrid/internal/serve",

@@ -1,8 +1,6 @@
-// Package par holds the dependency-free parallel-map primitive shared
-// by the experiment harness (internal/exp), the scheduling service
-// (internal/serve) and the SLRH core's concurrent candidate scorer
-// (internal/core). It lives below all of them so the core can fan out
-// without importing the experiment layer (which imports the core).
+// Package par holds the dependency-free parallel-map primitive behind
+// the experiment harness (internal/exp). It imports nothing from the
+// module, so any package can fan out without an import cycle.
 //
 // Determinism contract: Map distributes a fixed index space over a
 // bounded worker set, and every task writes only to its own output
@@ -22,40 +20,32 @@ import (
 // index has been processed, which also orders all of fn's writes
 // before the caller's subsequent reads.
 func Map(workers, n int, fn func(k int)) {
-	MapWorkers(workers, n, func(_, k int) { fn(k) })
-}
-
-// MapWorkers is Map with the executing worker's index in [0, workers)
-// passed to fn, so a caller can hand each worker a private scratch
-// arena. Sequential execution uses worker 0.
-func MapWorkers(workers, n int, fn func(worker, k int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for k := 0; k < n; k++ {
-			fn(0, k)
+			fn(k)
 		}
 		return
 	}
-	// Atomic-counter dispatch: a channel costs two scheduler handoffs per
-	// item, which swamps fine-grained tasks like per-candidate pricing;
-	// claiming indices with one atomic add keeps the per-item overhead in
-	// the nanoseconds while still balancing uneven task costs.
+	// Atomic-counter dispatch: claiming indices with one atomic add keeps
+	// the per-item overhead in the nanoseconds while still balancing
+	// uneven task costs.
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= n {
 					return
 				}
-				fn(worker, k)
+				fn(k)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }
@@ -73,6 +63,9 @@ func Workers(requested int) int {
 // share the machine: total workers divided evenly, never below 1.
 // Non-positive arguments select GOMAXPROCS for `total` and 1 for
 // `concurrent`.
+//
+// Deprecated: ignored; kept only because bench/ compiles against it.
+// Its result feeds only the ignored scoring fan-out parameters.
 func PerRun(total, concurrent int) int {
 	total = Workers(total)
 	if concurrent < 1 {

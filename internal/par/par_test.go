@@ -34,7 +34,7 @@ func TestMapZeroN(t *testing.T) {
 
 // TestMapOutputSlots: concurrent tasks writing only their own slot
 // produce the same result as sequential execution (the determinism
-// contract the SLRH prefill relies on).
+// contract).
 func TestMapOutputSlots(t *testing.T) {
 	const n = 1000
 	seq := make([]int, n)

@@ -19,7 +19,7 @@ const AllocSlack = 1.0
 // Regression is one benchmark that got worse than the baseline allows.
 type Regression struct {
 	Name    string
-	Metric  string  // "ns_per_op" or "allocs_per_op"
+	Metric  string // "ns_per_op" or "allocs_per_op"
 	Base    float64
 	Cur     float64
 	Growth  float64 // (cur-base)/base; 0 when base is 0
@@ -102,13 +102,6 @@ func Compare(cur, base *Report, tolerance float64) ([]Regression, error) {
 	return regs, nil
 }
 
-// MinParallelSpeedup is the speedup the |T|=1024 parallel scorer must
-// reach over serial on a machine with at least MinSpeedupCores cores.
-const (
-	MinParallelSpeedup = 1.5
-	MinSpeedupCores    = 4
-)
-
 // ZeroAllocBudget is the allocs/op cap for the arena-backed SLRH
 // benchmarks: strictly fewer than one allocation per op. A real
 // steady-state allocation contributes at least 1.0/op, so anything
@@ -125,52 +118,36 @@ const ZeroAllocBudget = 0.5
 // storm still fails the gate.
 var AllocCaps = map[string]float64{
 	"slrh1_serial_n256":      ZeroAllocBudget,
-	"slrh1_parallel_n256":    ZeroAllocBudget,
 	"slrh1_uncached_n256":    ZeroAllocBudget,
 	"slrh1_serial_n1024":     ZeroAllocBudget,
-	"slrh1_parallel_n1024":   ZeroAllocBudget,
 	"maxmax_n256":            15_000,
-	"slrhd_map_n96":          15_000,
+	"slrhd_map_n96":          2_500,
 	"fabric_router_overhead": 600,
 	"admission_decide_x1000": 100,
 }
 
-// GateResult is one named gate's outcome within a Verdict.
-type GateResult struct {
-	Name    string // "allocs" or "parallel_speedup"
-	Vacuous bool
-	Reason  string // why the gate was vacuous, or what it measured
-}
-
 // Verdict is the outcome of checking a report's expectations. A vacuous
 // pass is distinct from a real one so callers can say so out loud: a
-// gate that "passes" because it could not run is not evidence. Vacuous
-// is true only when EVERY gate was vacuous; the per-gate breakdown is
-// in Gates (the allocation gate runs on any report that contains a
-// capped benchmark, regardless of core count, so a single-core run
-// still proves the zero-alloc property).
+// gate that "passes" because it could not run is not evidence. The
+// allocation gate runs on any report that contains a capped benchmark,
+// regardless of core count, so a single-core run still proves the
+// zero-alloc property.
 type Verdict struct {
 	Vacuous bool
-	Reason  string
-	Gates   []GateResult
+	Reason  string // why the check was vacuous, or what it measured
 }
 
 // Check validates a fresh report's expectations: every capped benchmark
-// must be within its allocs/op budget, and on a ≥4-core machine the
-// |T|=1024 parallel scorer must be at least 1.5x the serial path. Use
-// CheckVerdict to distinguish a vacuous pass from a measured one.
+// must be within its allocs/op budget. Use CheckVerdict to distinguish a
+// vacuous pass from a measured one.
 func Check(r *Report) error {
 	_, err := CheckVerdict(r)
 	return err
 }
 
-// CheckVerdict is Check with the per-gate vacuity made explicit.
+// CheckVerdict is Check with the vacuity made explicit.
 func CheckVerdict(r *Report) (Verdict, error) {
-	var v Verdict
 	var errs []string
-
-	// Allocation gate: independent of core count — it executes whenever
-	// the report contains a benchmark with a cap.
 	capped := 0
 	for i := range r.Benchmarks {
 		b := &r.Benchmarks[i]
@@ -189,42 +166,9 @@ func CheckVerdict(r *Report) (Verdict, error) {
 			errs = append(errs, fmt.Sprintf("%s: %.2f allocs/op exceeds cap %.2f", b.Name, a, cap))
 		}
 	}
+	v := Verdict{Reason: fmt.Sprintf("%d benchmarks checked against alloc caps", capped)}
 	if capped == 0 {
-		v.Gates = append(v.Gates, GateResult{Name: "allocs", Vacuous: true,
-			Reason: "no alloc-capped benchmarks in this run"})
-	} else {
-		v.Gates = append(v.Gates, GateResult{Name: "allocs",
-			Reason: fmt.Sprintf("%d benchmarks checked against caps", capped)})
-	}
-
-	// Speedup gate: needs real cores and the |T|=1024 pair.
-	switch speedup, ok := r.Derive("speedup_parallel_n1024"); {
-	case r.GoMaxProcs < MinSpeedupCores:
-		v.Gates = append(v.Gates, GateResult{Name: "parallel_speedup", Vacuous: true,
-			Reason: fmt.Sprintf("gomaxprocs=%d", r.GoMaxProcs)})
-	case !ok:
-		v.Gates = append(v.Gates, GateResult{Name: "parallel_speedup", Vacuous: true,
-			Reason: "no |T|=1024 serial/parallel pair in this run"})
-	default:
-		v.Gates = append(v.Gates, GateResult{Name: "parallel_speedup",
-			Reason: fmt.Sprintf("%.2fx at |T|=1024 on %d cores", speedup, r.GoMaxProcs)})
-		if speedup < MinParallelSpeedup {
-			errs = append(errs, fmt.Sprintf("parallel speedup at |T|=1024 is %.2fx on %d cores, expected ≥ %.1fx",
-				speedup, r.GoMaxProcs, MinParallelSpeedup))
-		}
-	}
-
-	v.Vacuous = true
-	var reasons []string
-	for _, g := range v.Gates {
-		if g.Vacuous {
-			reasons = append(reasons, g.Reason)
-		} else {
-			v.Vacuous = false
-		}
-	}
-	if v.Vacuous {
-		v.Reason = strings.Join(reasons, "; ")
+		v = Verdict{Vacuous: true, Reason: "no alloc-capped benchmarks in this run"}
 	}
 	if len(errs) > 0 {
 		return v, fmt.Errorf("bench check failed:\n  %s", strings.Join(errs, "\n  "))

@@ -64,7 +64,7 @@ func measure(iters int, op func()) (nsPerOp, allocsPerOp, bytesPerOp float64) {
 // handoffs (sudog and M provisioning), smearing a handful of mallocs
 // across whichever benchmark happens to be in its window. Pinning to
 // one P removes that noise without changing what the op computes — the
-// parallel scorer still runs its full fan-out, timeshared.
+// service benchmarks' goroutines still run, timeshared.
 func countAllocs(op func()) (allocsPerOp, bytesPerOp float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats

@@ -52,7 +52,6 @@ type Report struct {
 	Suite         string        `json:"suite"`
 	Seed          uint64        `json:"seed"`
 	GoMaxProcs    int           `json:"gomaxprocs"`
-	ScoreWorkers  int           `json:"score_workers"` // fan-out used by the *_parallel benches
 	Benchmarks    []BenchResult `json:"benchmarks"`
 	// Derived holds cross-benchmark ratios (speedups), computed from the
 	// measurements above so consumers need not re-derive them.

@@ -14,7 +14,6 @@ import (
 	"adhocgrid/internal/fabric"
 	"adhocgrid/internal/grid"
 	"adhocgrid/internal/maxmax"
-	"adhocgrid/internal/par"
 	"adhocgrid/internal/rng"
 	"adhocgrid/internal/sched"
 	"adhocgrid/internal/serve"
@@ -31,9 +30,6 @@ type Options struct {
 	// Filter restricts the run to benchmarks whose name contains any of
 	// the given substrings (empty = the full suite).
 	Filter []string
-	// Workers is the fan-out of the *_parallel benchmarks and the slrhd
-	// service (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultSuite is the name of the shipped suite.
@@ -46,7 +42,7 @@ type benchmark struct {
 	name       string
 	iters      int
 	shortIters int
-	setup      func(workers int) (op func(), sample func() []Metric, err error)
+	setup      func() (op func(), sample func() []Metric, err error)
 }
 
 // weights are the canonical experiment weights (α=0.5, β=0.3, γ=0.2).
@@ -61,30 +57,22 @@ func instance(n int) (*workload.Instance, error) {
 	return s.Instantiate(grid.CaseA)
 }
 
-// slrhBench builds one SLRH-1 benchmark at |T|=n. workers > 1 turns on
-// the parallel candidate scorer; uncached disables the plan cache.
+// slrhBench builds one SLRH-1 benchmark at |T|=n; uncached disables the
+// plan cache.
 //
 // Every SLRH benchmark runs through a core.Arena so the measured steady
 // state is the zero-alloc one the AllocCaps pin: the first measure()
 // warm-up op grows the arena to the workload's high-water mark, and the
-// timed iterations reuse that storage. The arena (and, for the parallel
-// variants, its persistent worker pool) is leaked intentionally for the
-// process lifetime of the runner, like slrhdBench's servers.
-func slrhBench(n, workers int, uncached bool) func(int) (func(), func() []Metric, error) {
-	return func(fanout int) (func(), func() []Metric, error) {
+// timed iterations reuse that storage.
+func slrhBench(n int, uncached bool) func() (func(), func() []Metric, error) {
+	return func() (func(), func() []Metric, error) {
 		inst, err := instance(n)
 		if err != nil {
 			return nil, nil, err
 		}
 		cfg := core.DefaultConfig(core.SLRH1, weights())
 		cfg.DisablePlanCache = uncached
-		poolWorkers := 0
-		if workers != 0 {
-			cfg.PoolWorkers = fanout
-			cfg.ScoreWorkers = fanout
-			poolWorkers = fanout
-		}
-		arena := core.NewArena(poolWorkers)
+		arena := core.NewArena()
 		var last *core.Result
 		op := func() {
 			res, err := core.RunArena(inst, cfg, arena)
@@ -105,8 +93,8 @@ func slrhBench(n, workers int, uncached bool) func(int) (func(), func() []Metric
 }
 
 // maxmaxBench builds the Max-Max baseline benchmark at |T|=n.
-func maxmaxBench(n int) func(int) (func(), func() []Metric, error) {
-	return func(int) (func(), func() []Metric, error) {
+func maxmaxBench(n int) func() (func(), func() []Metric, error) {
+	return func() (func(), func() []Metric, error) {
 		inst, err := instance(n)
 		if err != nil {
 			return nil, nil, err
@@ -135,9 +123,9 @@ func maxmaxBench(n int) func(int) (func(), func() []Metric, error) {
 // between two fixed seeds against a single-entry result cache, so every
 // request is a miss (full compute path) yet the work is identical at any
 // iteration count — full runs and CI smoke measure the same two ops.
-func slrhdBench(n int) func(int) (func(), func() []Metric, error) {
-	return func(fanout int) (func(), func() []Metric, error) {
-		srv := serve.New(serve.Config{ScoreWorkers: fanout, CacheSize: 1})
+func slrhdBench(n int) func() (func(), func() []Metric, error) {
+	return func() (func(), func() []Metric, error) {
+		srv := serve.New(serve.Config{CacheSize: 1})
 		ts := httptest.NewServer(srv.Handler())
 		// Leaked intentionally for the process lifetime of the runner: the
 		// harness exits right after the suite, and tearing down mid-suite
@@ -178,9 +166,9 @@ func slrhdBench(n int) func(int) (func(), func() []Metric, error) {
 // hit — the measured cost is the fabric's own work (key computation,
 // ring lookup, breaker check, budget deposit, proxying) plus one local
 // HTTP hop, not the planner.
-func fabricRouterBench(n int) func(int) (func(), func() []Metric, error) {
-	return func(fanout int) (func(), func() []Metric, error) {
-		srv := serve.New(serve.Config{ScoreWorkers: fanout})
+func fabricRouterBench(n int) func() (func(), func() []Metric, error) {
+	return func() (func(), func() []Metric, error) {
+		srv := serve.New(serve.Config{})
 		ts := httptest.NewServer(srv.Handler())
 		// Backend and router are leaked intentionally for the process
 		// lifetime of the runner, like slrhdBench's service.
@@ -231,20 +219,25 @@ func fabricRouterBench(n int) func(int) (func(), func() []Metric, error) {
 // the thousand (the reported ns/op is per batch).
 const admissionBatch = 1000
 
+// admissionWorkers is the run-worker count the admission benchmark
+// divides its predicted backlog by. It is fixed, not GOMAXPROCS, so the
+// admitted/shed metrics are the same on every host.
+const admissionWorkers = 2
+
 // admissionBench measures the pure admission decision against a warmed
 // cost model: predict, rule, book backlog, retire. This is the hot
 // per-request overhead the cost-predictive path added in front of
 // /v1/map, so CI watches it stays in the noise next to the runs it
 // guards.
-func admissionBench() func(int) (func(), func() []Metric, error) {
-	return func(workers int) (func(), func() []Metric, error) {
+func admissionBench() func() (func(), func() []Metric, error) {
+	return func() (func(), func() []Metric, error) {
 		model := serve.NewCostModel()
 		for i := 0; i < 10; i++ {
 			for _, n := range []int{64, 256, 1024} {
 				model.Observe("slrh1", n, 0.005+0.0002*float64(n))
 			}
 		}
-		adm := serve.NewAdmission(model, workers, 1)
+		adm := serve.NewAdmission(model, admissionWorkers, 1)
 		cls := serve.Class{Name: "interactive", Priority: 0, TargetSeconds: 2}
 		var admitted, shed float64
 		op := func() {
@@ -275,11 +268,9 @@ func admissionBench() func(int) (func(), func() []Metric, error) {
 // compares baselines by name.
 func suite() []benchmark {
 	return []benchmark{
-		{name: "slrh1_serial_n256", iters: 30, shortIters: 5, setup: slrhBench(256, 0, false)},
-		{name: "slrh1_parallel_n256", iters: 30, shortIters: 5, setup: slrhBench(256, 1, false)},
-		{name: "slrh1_uncached_n256", iters: 10, shortIters: 3, setup: slrhBench(256, 0, true)},
-		{name: "slrh1_serial_n1024", iters: 8, shortIters: 4, setup: slrhBench(1024, 0, false)},
-		{name: "slrh1_parallel_n1024", iters: 8, shortIters: 4, setup: slrhBench(1024, 1, false)},
+		{name: "slrh1_serial_n256", iters: 30, shortIters: 5, setup: slrhBench(256, false)},
+		{name: "slrh1_uncached_n256", iters: 10, shortIters: 3, setup: slrhBench(256, true)},
+		{name: "slrh1_serial_n1024", iters: 8, shortIters: 4, setup: slrhBench(1024, false)},
 		{name: "maxmax_n256", iters: 30, shortIters: 5, setup: maxmaxBench(256)},
 		{name: "slrhd_map_n96", iters: 40, shortIters: 6, setup: slrhdBench(96)},
 		{name: "fabric_router_overhead", iters: 40, shortIters: 6, setup: fabricRouterBench(96)},
@@ -303,19 +294,11 @@ func selected(name string, filter []string) bool {
 // Run executes the suite and assembles the report. Benchmarks run
 // strictly in declaration order, one at a time.
 func Run(opts Options) (*Report, error) {
-	workers := par.Workers(opts.Workers)
-	if workers < 2 {
-		// Even on one core the *_parallel benches must go through the
-		// concurrent scorer — there they measure its overhead; the speedup
-		// story needs real cores (the report records how many we had).
-		workers = 2
-	}
 	r := &Report{
 		SchemaVersion: SchemaVersion,
 		Suite:         DefaultSuite,
 		Seed:          exp.DefaultSeed,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		ScoreWorkers:  workers,
 	}
 	for _, b := range suite() {
 		if !selected(b.name, opts.Filter) {
@@ -328,7 +311,7 @@ func Run(opts Options) (*Report, error) {
 		if opts.Iters > 0 {
 			iters = opts.Iters
 		}
-		op, sample, err := b.setup(workers)
+		op, sample, err := b.setup()
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: %w", b.name, err)
 		}
@@ -346,18 +329,12 @@ func Run(opts Options) (*Report, error) {
 	return r, nil
 }
 
-// derive computes the cross-benchmark speedup ratios (>1 means the
-// first-named configuration is slower, i.e. the second wins).
+// derive computes the cross-benchmark ratio: the plan cache's speedup,
+// uncached over cached ns/op at |T|=256 (>1 means the cache wins).
 func derive(r *Report) []Metric {
-	var out []Metric
-	ratio := func(name, num, den string) {
-		a, b := r.Bench(num), r.Bench(den)
-		if a != nil && b != nil && b.NsPerOp > 0 {
-			out = append(out, Metric{Name: name, Value: a.NsPerOp / b.NsPerOp})
-		}
+	a, b := r.Bench("slrh1_uncached_n256"), r.Bench("slrh1_serial_n256")
+	if a == nil || b == nil || b.NsPerOp <= 0 {
+		return nil
 	}
-	ratio("speedup_parallel_n256", "slrh1_serial_n256", "slrh1_parallel_n256")
-	ratio("speedup_parallel_n1024", "slrh1_serial_n1024", "slrh1_parallel_n1024")
-	ratio("speedup_plan_cache_n256", "slrh1_uncached_n256", "slrh1_serial_n256")
-	return out
+	return []Metric{{Name: "speedup_plan_cache_n256", Value: a.NsPerOp / b.NsPerOp}}
 }

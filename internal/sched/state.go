@@ -68,17 +68,17 @@ type State struct {
 	Mapped         int
 	T100           int
 	AETCycles      int64
-	unmappedParent []int     // remaining unmapped parents per subtask
-	ready          []int     // sorted ids: unmapped subtasks with all parents mapped
-	gen            []uint64  // per machine: bumped whenever its timelines, energy or liveness change
-	shrinkEpoch    uint64    // bumped whenever resources grow back (loss/failure unwinding, rejoin)
-	deadAt         []int64   // loss cycle per machine; nil or MaxInt64 = alive
-	sunk           []float64 // energy spent on work later discarded by a loss or failure
+	unmappedParent []int          // remaining unmapped parents per subtask
+	ready          []int          // sorted ids: unmapped subtasks with all parents mapped
+	gen            []uint64       // per machine: bumped whenever its timelines, energy or liveness change
+	shrinkEpoch    uint64         // bumped whenever resources grow back (loss/failure unwinding, rejoin)
+	deadAt         []int64        // loss cycle per machine; nil or MaxInt64 = alive
+	sunk           []float64      // energy spent on work later discarded by a loss or failure
 	downtime       [][]Interval   // closed outage windows per machine (loss ... rejoin)
 	slowdowns      []LinkSlowdown // static link-degradation windows, set before scheduling
 
-	// Reusable pricing scratch. Pricing entry points are sequential (the
-	// concurrent scorer uses PlanCandidateRO, which touches none of these).
+	// Reusable pricing scratch. Pricing entry points are sequential: a
+	// State is never priced from two goroutines at once.
 	geomScratch CandidateGeom
 	bookScratch []tentBooking
 	costScratch []machineCost

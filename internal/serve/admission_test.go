@@ -11,8 +11,8 @@ import (
 
 // TestConfigWithDefaults is the table-driven contract for every Config
 // field: zero selects the documented default, negatives follow each
-// field's documented convention (QueueSize: zero slots; ScoreWorkers:
-// serial; MaxN: uncapped; the bounded stores: their defaults), and
+// field's documented convention (QueueSize: zero slots; MaxN:
+// uncapped; the bounded stores: their defaults), and
 // explicit positives pass through untouched.
 func TestConfigWithDefaults(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
@@ -50,16 +50,6 @@ func TestConfigWithDefaults(t *testing.T) {
 		{"positive workers pass through", Config{Workers: 5}, func(t *testing.T, got Config) {
 			if got.Workers != 5 {
 				t.Errorf("Workers = %d, want 5", got.Workers)
-			}
-		}},
-		{"negative score workers mean serial", Config{ScoreWorkers: -1}, func(t *testing.T, got Config) {
-			if got.ScoreWorkers != 1 {
-				t.Errorf("ScoreWorkers = %d, want 1", got.ScoreWorkers)
-			}
-		}},
-		{"positive score workers pass through", Config{ScoreWorkers: 3}, func(t *testing.T, got Config) {
-			if got.ScoreWorkers != 3 {
-				t.Errorf("ScoreWorkers = %d, want 3", got.ScoreWorkers)
 			}
 		}},
 		{"negative cache and history select defaults", Config{CacheSize: -1, RunHistory: -9}, func(t *testing.T, got Config) {
@@ -199,7 +189,7 @@ func TestAdmissionColdAdmitsEverything(t *testing.T) {
 	a := NewAdmission(NewCostModel(), 2, 1)
 	cls := Class{Name: "interactive", TargetSeconds: 0.001}
 	for i := 0; i < 100; i++ {
-		if d := a.Decide("slrh1", 1 << 20, cls); !d.Admit {
+		if d := a.Decide("slrh1", 1<<20, cls); !d.Admit {
 			t.Fatal("cold model must admit (open cold-start)")
 		}
 	}

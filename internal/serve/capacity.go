@@ -54,7 +54,6 @@ type CapacityAnswer struct {
 // and changes as the model learns.
 type CapacityReport struct {
 	Workers        int             `json:"workers"`
-	ScoreWorkers   int             `json:"score_workers"`
 	QueueSlots     int             `json:"queue_slots"`
 	BacklogSeconds float64         `json:"backlog_seconds"`
 	Classes        []Class         `json:"classes"`
@@ -68,7 +67,6 @@ type CapacityReport struct {
 func (s *Server) Capacity(q CapacityQuery) (*CapacityReport, error) {
 	rep := &CapacityReport{
 		Workers:        s.cfg.Workers,
-		ScoreWorkers:   s.cfg.ScoreWorkers,
 		QueueSlots:     s.cfg.QueueSize,
 		BacklogSeconds: s.admission.Backlog(),
 		Classes:        s.cfg.Classes,

@@ -61,13 +61,13 @@ type MachineReport struct {
 type Result struct {
 	// Request is the canonical form of the request that produced this
 	// result.
-	Request    Request         `json:"request"`
-	Weights    WeightsReport   `json:"weights"`
-	TauSeconds float64         `json:"tau_seconds"`
-	TSE        float64         `json:"tse"`
-	Metrics    MetricsReport   `json:"metrics"`
-	Steps      int             `json:"steps"`              // heuristic activations (SLRH) or assignments (maxmax)
-	Requeued   int             `json:"requeued,omitempty"` // subtasks re-mapped after losses and failures
+	Request    Request       `json:"request"`
+	Weights    WeightsReport `json:"weights"`
+	TauSeconds float64       `json:"tau_seconds"`
+	TSE        float64       `json:"tse"`
+	Metrics    MetricsReport `json:"metrics"`
+	Steps      int           `json:"steps"`              // heuristic activations (SLRH) or assignments (maxmax)
+	Requeued   int           `json:"requeued,omitempty"` // subtasks re-mapped after losses and failures
 	// FaultsApplied / FaultsSkipped count fault-plan events that fired and
 	// changed the run vs fail events that found nothing in flight.
 	FaultsApplied int             `json:"faults_applied,omitempty"`
@@ -87,32 +87,25 @@ type Outcome struct {
 	Elapsed float64 // heuristic wall time, seconds
 }
 
-// Execute runs one request to completion serially. The request is
-// canonicalized and validated (with the given problem-size cap) first;
-// every error is a client error except workload-generation failures,
-// which Execute wraps as internal.
+// Execute runs one request to completion on a fresh arena. The request
+// is canonicalized and validated (with the given problem-size cap)
+// first; every error is a client error except workload-generation
+// failures, which Execute wraps as internal.
 func Execute(req Request, maxN int) (*Outcome, error) {
-	return ExecuteWorkers(req, maxN, 0)
+	return ExecuteArena(req, maxN, 0, nil)
 }
 
-// ExecuteWorkers is Execute with a candidate-scoring fan-out: SLRH runs
-// set core.Config.PoolWorkers/ScoreWorkers to scoreWorkers (≤ 1 means
-// serial). The parallel scorer is result-transparent (DESIGN.md §14),
-// so the response body is byte-identical at every worker count — the
-// service's result cache and the `slrhsim -json` parity both survive
-// any fan-out.
-func ExecuteWorkers(req Request, maxN, scoreWorkers int) (*Outcome, error) {
-	return ExecuteArena(req, maxN, scoreWorkers, nil)
-}
-
-// ExecuteArena is ExecuteWorkers backed by an arena pool: SLRH runs
-// borrow a core.Arena for the duration of the call, so a server in
-// steady state schedules without rebuilding runner or state storage.
-// The arena is released before returning — everything the Outcome
-// carries is copied out of the arena-owned state first — and the
-// response bytes are identical with and without a pool (the arena is
-// result-transparent; the parity tests pin it). ap may be nil.
-func ExecuteArena(req Request, maxN, scoreWorkers int, ap *core.ArenaPool) (*Outcome, error) {
+// ExecuteArena is Execute backed by an arena pool: SLRH runs borrow a
+// core.Arena for the duration of the call, so a server in steady state
+// schedules without rebuilding runner or state storage. The arena is
+// released before returning — everything the Outcome carries is copied
+// out of the arena-owned state first — and the response bytes are
+// identical with and without a pool (the arena is result-transparent;
+// the parity tests pin it). A nil ap runs on a fresh arena. Scoring is
+// serial (DESIGN.md §14), so scoreWorkers is ignored.
+func ExecuteArena(req Request, maxN int,
+	scoreWorkers int, // Deprecated: ignored; kept only because bench/ compiles against it.
+	ap *core.ArenaPool) (*Outcome, error) {
 	req = req.Canonical()
 	if err := req.Validate(maxN); err != nil {
 		return nil, &RequestError{Err: err}
@@ -148,8 +141,6 @@ func ExecuteArena(req Request, maxN, scoreWorkers int, ap *core.ArenaPool) (*Out
 		cfg := core.DefaultConfig(variant, w)
 		cfg.DeltaT = req.DeltaT
 		cfg.Horizon = req.Horizon
-		cfg.PoolWorkers = scoreWorkers
-		cfg.ScoreWorkers = scoreWorkers
 		if req.Adaptive {
 			cfg.Adaptive = core.NewAdaptiveController(w)
 		}
@@ -162,17 +153,15 @@ func ExecuteArena(req Request, maxN, scoreWorkers int, ap *core.ArenaPool) (*Out
 			rec = trace.NewRecorder(1)
 			cfg.Observer = rec.Observe
 		}
-		var res *core.Result
+		var a *core.Arena
 		if ap != nil {
-			a := ap.Get()
+			a = ap.Get()
 			// Released on return: the result assembly below reads the
 			// arena-owned state, and nothing escaping this function keeps
 			// a reference to it.
 			defer ap.Put(a)
-			res, err = core.RunArena(inst, cfg, a)
-		} else {
-			res, err = core.Run(inst, cfg)
 		}
+		res, err := core.RunArena(inst, cfg, a)
 		if err != nil {
 			return nil, fmt.Errorf("run %s: %w", req.Heuristic, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -358,55 +357,22 @@ func TestExecuteRejectsBeforeComputing(t *testing.T) {
 	}
 }
 
-// TestExecuteWorkersByteIdentical: the per-run scoring fan-out must not
-// change a single response byte — the result cache and the slrhsim
-// parity depend on it. Covers an SLRH run with faults and a maxmax run
-// (where the knob is simply ignored).
-func TestExecuteWorkersByteIdentical(t *testing.T) {
-	reqs := []Request{
-		{N: 48, Case: "A", Heuristic: "slrh2", Seed: 11, Alpha: 0.5, Beta: 0.3, Faults: "lose:1@400,rejoin:1@900"},
-		{N: 48, Case: "B", Heuristic: "maxmax", Seed: 11, Alpha: 0.5, Beta: 0.3},
-	}
-	for _, req := range reqs {
-		serial, err := Execute(req, 0)
-		if err != nil {
-			t.Fatalf("%s serial: %v", req.Heuristic, err)
-		}
-		var want bytes.Buffer
-		if err := EncodeResult(&want, serial.Result); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			out, err := ExecuteWorkers(req, 0, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", req.Heuristic, workers, err)
-			}
-			var got bytes.Buffer
-			if err := EncodeResult(&got, out.Result); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("%s: workers=%d response differs from serial", req.Heuristic, workers)
-			}
-		}
-	}
-}
-
 // TestExecuteArenaByteIdentical: borrowing a pooled arena must not
 // change a single response byte, including when the arena is reused
 // across different workloads. Requests alternate A, B, A so the third
 // run reuses the arena the first one grew — any state residue would
-// change the bytes.
+// change the bytes. The maxmax request never borrows an arena.
 func TestExecuteArenaByteIdentical(t *testing.T) {
 	reqs := []Request{
 		{N: 48, Case: "A", Heuristic: "slrh1", Seed: 11, Alpha: 0.5, Beta: 0.3},
 		{N: 96, Case: "B", Heuristic: "slrh3", Seed: 12, Alpha: 0.5, Beta: 0.3},
 		{N: 48, Case: "A", Heuristic: "slrh1", Seed: 11, Alpha: 0.5, Beta: 0.3},
 		{N: 48, Case: "A", Heuristic: "slrh2", Seed: 11, Alpha: 0.5, Beta: 0.3, Faults: "lose:1@400,rejoin:1@900"},
+		{N: 48, Case: "B", Heuristic: "maxmax", Seed: 11, Alpha: 0.5, Beta: 0.3},
 	}
 	ap := core.NewArenaPool()
 	for k, req := range reqs {
-		plain, err := ExecuteWorkers(req, 0, 0)
+		plain, err := Execute(req, 0)
 		if err != nil {
 			t.Fatalf("req %d plain: %v", k, err)
 		}
@@ -428,35 +394,41 @@ func TestExecuteArenaByteIdentical(t *testing.T) {
 	}
 }
 
-// TestScoreWorkersDefaults: the config resolver splits GOMAXPROCS
-// across run workers, honors explicit values, and maps negative to
-// serial.
-func TestScoreWorkersDefaults(t *testing.T) {
-	got := Config{Workers: 1}.withDefaults()
-	if want := runtime.GOMAXPROCS(0); got.ScoreWorkers != want {
-		t.Errorf("one run worker: ScoreWorkers = %d, want %d", got.ScoreWorkers, want)
+// TestExecuteWorkersByteIdentical: ExecuteArena's deprecated
+// scoreWorkers argument is ignored — any value, with or without an
+// arena pool, yields the bytes of the plain serial response.
+func TestExecuteWorkersByteIdentical(t *testing.T) {
+	reqs := []Request{
+		{N: 48, Case: "A", Heuristic: "slrh1", Seed: 11, Alpha: 0.5, Beta: 0.3},
+		{N: 96, Case: "B", Heuristic: "slrh3", Seed: 12, Alpha: 0.5, Beta: 0.3},
+		{N: 48, Case: "A", Heuristic: "slrh2", Seed: 11, Alpha: 0.5, Beta: 0.3, Faults: "lose:1@400,rejoin:1@900"},
+		{N: 48, Case: "B", Heuristic: "maxmax", Seed: 11, Alpha: 0.5, Beta: 0.3},
 	}
-	got = Config{Workers: 2 * runtime.GOMAXPROCS(0)}.withDefaults()
-	if got.ScoreWorkers != 1 {
-		t.Errorf("saturated: ScoreWorkers = %d, want 1", got.ScoreWorkers)
-	}
-	if got = (Config{ScoreWorkers: 3}).withDefaults(); got.ScoreWorkers != 3 {
-		t.Errorf("explicit: ScoreWorkers = %d, want 3", got.ScoreWorkers)
-	}
-	if got = (Config{ScoreWorkers: -1}).withDefaults(); got.ScoreWorkers != 1 {
-		t.Errorf("negative: ScoreWorkers = %d, want 1 (serial)", got.ScoreWorkers)
-	}
-}
-
-// TestScoreWorkersGauge: the fan-out is visible on /metrics.
-func TestScoreWorkersGauge(t *testing.T) {
-	_, ts := newTestServer(t, Config{ScoreWorkers: 5})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(readBody(t, resp))
-	if !strings.Contains(body, "slrhd_score_workers 5") {
-		t.Errorf("metrics missing slrhd_score_workers 5:\n%s", body)
+	ap := core.NewArenaPool()
+	for k, req := range reqs {
+		plain, err := Execute(req, 0)
+		if err != nil {
+			t.Fatalf("req %d plain: %v", k, err)
+		}
+		var want bytes.Buffer
+		if err := EncodeResult(&want, plain.Result); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{-1, 2, 4} {
+			for _, pool := range []*core.ArenaPool{nil, ap} {
+				out, err := ExecuteArena(req, 0, workers, pool)
+				if err != nil {
+					t.Fatalf("req %d workers=%d: %v", k, workers, err)
+				}
+				var got bytes.Buffer
+				if err := EncodeResult(&got, out.Result); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("req %d (%s) workers=%d pooled=%v: response differs from plain",
+						k, req.Heuristic, workers, pool != nil)
+				}
+			}
+		}
 	}
 }

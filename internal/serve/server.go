@@ -14,7 +14,6 @@ import (
 
 	"adhocgrid/internal/core"
 	"adhocgrid/internal/exp"
-	"adhocgrid/internal/par"
 )
 
 // Config sizes the service. Zero values select the defaults noted per
@@ -23,13 +22,6 @@ type Config struct {
 	// Workers caps concurrently executing runs (non-positive selects
 	// GOMAXPROCS).
 	Workers int
-	// ScoreWorkers is the per-run candidate-scoring fan-out handed to the
-	// SLRH parallel scorer (core.Config.PoolWorkers/ScoreWorkers). The
-	// scorer is result-transparent, so this only affects latency. Default
-	// splits GOMAXPROCS across the run workers (par.PerRun), so a lightly
-	// loaded service prices one run on all cores while a saturated one
-	// degrades toward one core per run; negative forces serial scoring.
-	ScoreWorkers int
 	// QueueSize bounds runs accepted but not yet executing; an arriving
 	// request that finds the queue full is refused with 429. Zero selects
 	// the default of 64; a negative value means zero queue slots, so every
@@ -61,11 +53,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ScoreWorkers == 0 {
-		c.ScoreWorkers = par.PerRun(runtime.GOMAXPROCS(0), c.Workers)
-	} else if c.ScoreWorkers < 0 {
-		c.ScoreWorkers = 1
 	}
 	if c.QueueSize == 0 {
 		c.QueueSize = 64
@@ -213,8 +200,6 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("slrhd_queue_depth", "", "runs accepted but not yet executing",
 		func() float64 { return float64(s.pool.Depth()) })
 	s.inflight = s.reg.Gauge("slrhd_inflight_runs", "", "runs currently executing")
-	s.reg.GaugeFunc("slrhd_score_workers", "", "per-run candidate-scoring fan-out (core PoolWorkers/ScoreWorkers)",
-		func() float64 { return float64(s.cfg.ScoreWorkers) })
 	s.reg.GaugeFunc("slrhd_backlog_predicted_seconds", "", "predicted cost of admitted-but-unfinished work",
 		func() float64 { return s.admission.Backlog() })
 	for _, h := range heuristicNames {
@@ -485,7 +470,7 @@ func (s *Server) executeJob(req Request, predicted float64) (CacheEntry, error) 
 	defer s.inflight.Add(-1)
 	runID := fmt.Sprintf("r%08d", s.runSeq.Add(1))
 	start := time.Now() //lint:wallclock elapsed-time reporting for the latency histograms and the admission cost model; never a scheduling input
-	out, err := ExecuteArena(req, s.cfg.MaxN, s.cfg.ScoreWorkers, s.arenas)
+	out, err := ExecuteArena(req, s.cfg.MaxN, 0, s.arenas)
 	wall := time.Since(start).Seconds() //lint:wallclock closes the latency-report pair above
 	if err != nil {
 		return CacheEntry{}, err
