@@ -148,9 +148,11 @@ fault-smoke:
 	grep -q '"verify_ok": true' "$$tmp/a.json" && \
 	echo "fault-smoke: two faulted runs byte-identical and verified"
 
-# Fuzz smokes: the chunked timeline against the naive reference, and the
+# Fuzz smokes: the chunked timeline against the naive reference, the
 # fault-DSL parser against its canonical re-spelling (parse/String round
-# trip must reach a fixpoint).
+# trip must reach a fixpoint), and the plan-cached Max-Max against its
+# per-triplet reference loop (identical schedules).
 fuzz:
 	$(GO) test -fuzz FuzzTimelineVsReference -fuzztime 15s ./internal/sched/
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 15s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzMaxMaxVsReference -fuzztime 15s ./internal/maxmax/

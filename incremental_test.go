@@ -1,5 +1,5 @@
 // Differential tests for the incremental scheduler state: the candidate
-// plan cache (internal/core/plancache.go) must be invisible in the results
+// plan cache (internal/sched/plancache.go) must be invisible in the results
 // — every SLRH variant must produce a bit-for-bit identical schedule with
 // the cache enabled and disabled, across the whole Bench() suite, under
 // machine loss, fault plans and Poisson arrivals.

@@ -104,9 +104,10 @@ type Config struct {
 	PoolWorkers int
 
 	// DisablePlanCache turns off the generation-tracked candidate plan
-	// cache (see plancache.go) and re-prices every eligible candidate at
-	// every pool build. Results are identical either way — the flag exists
-	// for the differential tests and benchmarks that prove it.
+	// cache (sched.PlanCache, internal/sched/plancache.go) and re-prices
+	// every eligible candidate at every pool build. Results are identical
+	// either way — the flag exists for the differential tests and
+	// benchmarks that prove it.
 	DisablePlanCache bool
 }
 
@@ -269,10 +270,9 @@ type runner struct {
 	readyBuf  []int
 	eligible  []int
 	pool      candPool
-	cache     *planCache       // nil when Config.DisablePlanCache
-	pairBuf   planPair         // pricing scratch when the cache is off
+	cache     *sched.PlanCache // nil when Config.DisablePlanCache
+	pairBuf   sched.PlanPair   // pricing scratch when the cache is off
 	trScratch []sched.Transfer // cache-off pricing transfer buffer
-	revalCost []senderCost     // reusable revalidation scratch
 }
 
 // Run executes the SLRH heuristic on the instance and returns the
@@ -318,9 +318,9 @@ func (r *runner) run(st *sched.State, cfg Config, res *Result) error {
 	if cfg.DisablePlanCache {
 		r.cache = nil
 	} else if r.cache == nil {
-		r.cache = newPlanCache(st.N(), st.Inst.Grid.M())
+		r.cache = sched.NewPlanCache(st.N(), st.Inst.Grid.M())
 	} else {
-		r.cache.reset(st.N(), st.Inst.Grid.M())
+		r.cache.Reset(st.N(), st.Inst.Grid.M())
 	}
 	inst := st.Inst
 	*res = Result{State: st}
@@ -478,19 +478,23 @@ func (r *runner) buildPool(j int, now int64) {
 	sort.Sort(&r.pool)
 }
 
-// plansFor returns the candidate pricing for (i, j), consulting and
-// maintaining the plan cache when enabled. The returned pointer is into
-// the cache entry (or a runner scratch slot) and is only valid until the
-// next pricing call.
-func (r *runner) plansFor(i, j int, now int64) *planPair {
+// plansFor returns the candidate pricing for (i, j), through the plan
+// cache when enabled. The returned pointer is into the cache entry (or a
+// runner scratch slot) and is only valid until the next pricing call.
+func (r *runner) plansFor(i, j int, now int64) *sched.PlanPair {
 	if r.cache == nil {
 		r.pairBuf = r.pricePair(i, j, now)
 		return &r.pairBuf
 	}
-	if pair, ok := r.cachedPair(i, j, now); ok {
-		return pair
-	}
-	return r.repriceEntry(r.cache.entry(i, j), i, j, now)
+	return r.cache.Pair(r.st, i, j, now)
+}
+
+// pricePair runs the full pricing of both versions into the runner's
+// cache-off scratch buffer (safe: the pool and Commit copy the transfer
+// contents out before the next pricing overwrites it).
+func (r *runner) pricePair(i, j int, now int64) sched.PlanPair {
+	planP, errP, planS, errS := r.st.PlanCandidateVersionsBuf(i, j, now, &r.trScratch)
+	return sched.PlanPair{PlanP: planP, PlanS: planS, OKP: errP == nil, OKS: errS == nil}
 }
 
 // freshPlan re-prices one version of candidate (i, j), going through the
@@ -504,9 +508,9 @@ func (r *runner) freshPlan(i, j int, v workload.Version, now int64) (sched.Plan,
 	}
 	pair := r.plansFor(i, j, now)
 	if v == workload.Primary {
-		return pair.planP, pair.okP
+		return pair.PlanP, pair.OKP
 	}
-	return pair.planS, pair.okS
+	return pair.PlanS, pair.OKS
 }
 
 // poolAddBest picks the version of a priced pair with the larger
@@ -515,23 +519,23 @@ func (r *runner) freshPlan(i, j int, v workload.Version, now int64) (sched.Plan,
 // with no feasible version adds nothing. Scores are always computed
 // fresh: Hypothetical depends on the schedule's aggregates, which move
 // with every commit.
-func (r *runner) poolAddBest(i int, pair *planPair) {
+func (r *runner) poolAddBest(i int, pair *sched.PlanPair) {
 	st := r.st
 	switch {
-	case !pair.okS && !pair.okP:
+	case !pair.OKS && !pair.OKP:
 		return
-	case !pair.okP:
-		r.pool.add(i, workload.Secondary, &pair.planS, st.Hypothetical(&pair.planS))
+	case !pair.OKP:
+		r.pool.add(i, workload.Secondary, &pair.PlanS, st.Hypothetical(&pair.PlanS))
 		return
-	case !pair.okS:
-		r.pool.add(i, workload.Primary, &pair.planP, st.Hypothetical(&pair.planP))
+	case !pair.OKS:
+		r.pool.add(i, workload.Primary, &pair.PlanP, st.Hypothetical(&pair.PlanP))
 		return
 	}
-	scoreP, scoreS := st.Hypothetical(&pair.planP), st.Hypothetical(&pair.planS)
+	scoreP, scoreS := st.Hypothetical(&pair.PlanP), st.Hypothetical(&pair.PlanS)
 	if scoreP >= scoreS {
-		r.pool.add(i, workload.Primary, &pair.planP, scoreP)
+		r.pool.add(i, workload.Primary, &pair.PlanP, scoreP)
 	} else {
-		r.pool.add(i, workload.Secondary, &pair.planS, scoreS)
+		r.pool.add(i, workload.Secondary, &pair.PlanS, scoreS)
 	}
 }
 

@@ -176,7 +176,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Batch-Items", strconv.Itoa(len(items)))
 	count(rt.batchRequests, http.StatusOK)
+	// Nothing below can answer 4xx any more: send the status line now, so
+	// a streaming client sees the response start at once instead of when
+	// item 0 happens to finish (its place in the window queue is up to
+	// the scheduler).
+	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		flusher.Flush()
+	}
 	ok, failed := 0, 0
 	clientGone := false
 	for _, it := range items {

@@ -35,13 +35,22 @@ type Result struct {
 
 // Run executes the Max-Max heuristic to completion (all subtasks mapped)
 // or until no feasible assignment remains.
+//
+// Every step scores each feasible version of every ready subtask on every
+// machine, but prices through a per-run sched.PlanCache: a commit only
+// touches its target machine and its transfers' senders, so only the
+// candidates depending on those are re-priced (and most of them merely
+// revalidated). The schedule is the one the per-triplet loop builds —
+// the winner is the maximum of a total order, so neither the visiting
+// order nor the cache can change it.
 func Run(inst *workload.Instance, cfg Config) (*Result, error) {
 	if err := cfg.Weights.Validate(); err != nil {
 		return nil, err
 	}
 	st := sched.NewState(inst, cfg.Weights)
 	res := &Result{State: st}
-	versions := [2]workload.Version{workload.Primary, workload.Secondary}
+	m := inst.Grid.M()
+	cache := sched.NewPlanCache(st.N(), m)
 
 	var readyBuf []int
 	start := time.Now() //lint:wallclock elapsed-time reporting only; never a scheduling input
@@ -50,26 +59,29 @@ func Run(inst *workload.Instance, cfg Config) (*Result, error) {
 		if len(readyBuf) == 0 {
 			break // mapped everything reachable; Done() would have caught completion
 		}
+		// best's transfers alias its cache entry's buffer until Commit
+		// interns them; that is safe because each (i, j) is priced once
+		// per step.
 		var best sched.Plan
 		bestScore := 0.0
 		found := false
+		consider := func(plan *sched.Plan) {
+			score := st.Hypothetical(plan)
+			if !found || score > bestScore ||
+				(score == bestScore && tieBreak(*plan, best)) {
+				best, bestScore, found = *plan, score, true
+			}
+		}
 		// The static heuristic schedules from time zero; EarliestFit lets
 		// a triplet slide into any sufficiently large idle hole.
-		for j := 0; j < inst.Grid.M(); j++ {
+		for j := 0; j < m; j++ {
 			for _, i := range readyBuf {
-				for _, v := range versions {
-					if !st.FeasibleVersion(i, j, v) {
-						continue
-					}
-					plan, err := st.PlanCandidate(i, j, v, 0)
-					if err != nil {
-						continue
-					}
-					score := st.Hypothetical(&plan)
-					if !found || score > bestScore ||
-						(score == bestScore && tieBreak(plan, best)) {
-						best, bestScore, found = plan, score, true
-					}
+				pair := cache.Pair(st, i, j, 0)
+				if pair.OKP {
+					consider(&pair.PlanP)
+				}
+				if pair.OKS {
+					consider(&pair.PlanS)
 				}
 			}
 		}

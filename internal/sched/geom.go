@@ -18,14 +18,15 @@ import (
 // timelines, and whether the energy ledgers still cover them — depends on
 // the mutable schedule and the clock.
 //
-// Assignments are append-only between machine losses (Commit never moves
-// or removes one; only LoseMachine's unwinding does, and that bumps
-// State.ShrinkEpoch), so a candidate's geometry is immutable for the
-// whole shrink epoch. The plan cache exploits this: it captures the
-// geometry once and, when the clock advance forces a re-price, replays
-// only the placement. PlanCandidateVersions itself is implemented as
-// geometry + placement, so a replay is the same code path as fresh
-// pricing minus the geometry fill — identical results by construction.
+// Assignments are append-only within a shrink epoch (Commit never moves
+// or removes one; only the unwinding in LoseMachine and FailSubtask does,
+// and those bump State.ShrinkEpoch, as RejoinMachine does), so a
+// candidate's geometry is immutable for the whole shrink epoch. The plan
+// cache exploits this: it captures the geometry once and, when the clock
+// advance forces a re-price, replays only the placement.
+// PlanCandidateVersions itself is implemented as geometry + placement, so
+// a replay is the same code path as fresh pricing minus the geometry fill
+// — identical results by construction.
 
 // TransferGeom describes one incoming off-machine transfer independently
 // of link placement.

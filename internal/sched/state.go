@@ -342,9 +342,11 @@ func (s *State) bumpGen(j int) { s.gen[j]++ }
 // observations with the same epoch, every state mutation was a Commit:
 // timelines only gained bookings and ledgers only decreased, so a plan
 // whose priced slots are still free and whose energy guards still pass
-// would be re-priced identically, and an infeasible candidate stays
-// infeasible. LoseMachine breaks the monotonicity (it releases bookings
-// and refunds energy) and bumps the epoch.
+// would be re-priced identically, as long as no link-degradation window
+// makes durations depend on the start cycle. LoseMachine, RejoinMachine and
+// FailSubtask break the monotonicity — the first and last release
+// bookings and refund energy, a rejoin brings a machine back — and each
+// bumps the epoch.
 func (s *State) ShrinkEpoch() uint64 { return s.shrinkEpoch }
 
 // FeasibleSLRH implements the paper's §IV pool-feasibility energy test for
@@ -372,17 +374,6 @@ func (s *State) FeasibleSLRHOptimistic(i, j int) bool {
 		return false
 	}
 	return s.Ledger.Remaining(j) >= s.Inst.ExecEnergy(i, j, workload.Secondary)
-}
-
-// FeasibleVersion implements the Max-Max variant of the feasibility test
-// (§V): each version is assessed independently at its own execution and
-// worst-case communication cost.
-func (s *State) FeasibleVersion(i, j int, v workload.Version) bool {
-	if !s.Alive(j) {
-		return false
-	}
-	need := s.Inst.ExecEnergy(i, j, v) + s.Inst.WorstChildCommEnergy(i, j, v)
-	return s.Ledger.Remaining(j) >= need
 }
 
 // MachineAvailable reports whether machine j is alive and its execution

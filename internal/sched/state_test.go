@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -255,8 +256,8 @@ func TestFeasibilityChecks(t *testing.T) {
 	if st.FeasibleSLRH(root, 2) {
 		t.Fatal("drained machine still feasible")
 	}
-	if st.FeasibleVersion(root, 2, workload.Primary) {
-		t.Fatal("drained machine feasible for primary")
+	if _, perr, _, _ := st.PlanCandidateVersions(root, 2, 0); !errors.Is(perr, errLacksEnergy) {
+		t.Fatalf("drained machine priced the primary: err=%v, want %v", perr, errLacksEnergy)
 	}
 }
 
