@@ -102,10 +102,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'Benchmark.*' -benchtime 10x $(BENCH_SHORT) .
 
 # Machine-readable perf baseline: run the perf suite and write a
-# schema-versioned JSON report (ns/op, allocs/op, schedule metrics,
-# the derived plan-cache speedup — no wall-clock timestamps).
+# schema-versioned JSON report (ns/op, allocs/op, schedule metrics —
+# no wall-clock timestamps).
 # BENCH_FLAGS=-short for CI-smoke iteration counts.
-BENCH_OUT ?= BENCH_12.json
+BENCH_OUT ?= BENCH_19.json
 bench-json:
 	$(GO) run ./cmd/benchrunner -out $(BENCH_OUT) $(BENCH_FLAGS)
 
@@ -123,8 +123,8 @@ bench-check:
 # Full-iteration runs use the strict 10% default; CI smoke passes a
 # wider TOLERANCE because shared runners add double-digit run-to-run
 # noise that even a min-of-iters estimator can't remove.
-# Usage: make bench-compare BASE=BENCH_12.json [TOLERANCE=0.25]
-BASE ?= BENCH_12.json
+# Usage: make bench-compare BASE=BENCH_19.json [TOLERANCE=0.25]
+BASE ?= BENCH_19.json
 TOLERANCE ?= 0.10
 bench-compare:
 	$(GO) run ./cmd/benchrunner -compare $(BENCH_OUT) -base $(BASE) -tolerance $(TOLERANCE)
@@ -150,9 +150,12 @@ fault-smoke:
 
 # Fuzz smokes: the chunked timeline against the naive reference, the
 # fault-DSL parser against its canonical re-spelling (parse/String round
-# trip must reach a fixpoint), and the plan-cached Max-Max against its
-# per-triplet reference loop (identical schedules).
+# trip must reach a fixpoint), the plan-cached Max-Max against its
+# per-triplet reference loop, and the SLRH runner against its plainly
+# written ΔT-stepped reference loop (identical schedules, counters and
+# observer sequences).
 fuzz:
 	$(GO) test -fuzz FuzzTimelineVsReference -fuzztime 15s ./internal/sched/
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 15s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzMaxMaxVsReference -fuzztime 15s ./internal/maxmax/
+	$(GO) test -run '^$$' -fuzz FuzzRunVsReference -fuzztime 15s ./internal/core/

@@ -117,10 +117,10 @@ func NewWeights(alpha, beta float64) Weights { return sched.NewWeights(alpha, be
 type (
 	// SLRHVariant selects SLRH-1, SLRH-2 or SLRH-3.
 	SLRHVariant = core.Variant
-	// Config parameterizes an SLRH run (ΔT, horizon, events, adaptation).
+	// Config parameterizes an SLRH run: the paper's variant, weights, ΔT
+	// and horizon, plus adaptation, a per-timestep observer and a fault
+	// plan (Config.Faults).
 	Config = core.Config
-	// Event injects a dynamic machine loss at a given cycle.
-	Event = core.Event
 	// AdaptiveController adjusts the multipliers on the fly (extension).
 	AdaptiveController = core.AdaptiveController
 	// SLRHResult reports an SLRH run.
@@ -174,7 +174,7 @@ func RunSLRH(inst *Instance, v SLRHVariant, w Weights) (*SLRHResult, error) {
 }
 
 // RunSLRHConfig executes an SLRH variant with full control over the
-// clock, horizon, adaptation and dynamic events.
+// clock, horizon, adaptation and fault plan.
 func RunSLRHConfig(inst *Instance, cfg Config) (*SLRHResult, error) {
 	return core.Run(inst, cfg)
 }

@@ -121,7 +121,9 @@ func TestPublicOptimizeWeightsCoarseOnly(t *testing.T) {
 func TestPublicMachineLossRun(t *testing.T) {
 	inst := exampleInstance(t, 96, 7, adhocgrid.CaseA)
 	cfg := adhocgrid.DefaultConfig(adhocgrid.SLRH1, adhocgrid.NewWeights(0.5, 0.3))
-	cfg.Events = []adhocgrid.Event{{At: inst.TauCycles / 8, Machine: 1}}
+	cfg.Faults = &adhocgrid.FaultPlan{Events: []adhocgrid.FaultEvent{
+		{Kind: adhocgrid.FaultLose, At: inst.TauCycles / 8, Machine: 1},
+	}}
 	cfg.Adaptive = adhocgrid.NewAdaptiveController(cfg.Weights)
 	res, err := adhocgrid.RunSLRHConfig(inst, cfg)
 	if err != nil {

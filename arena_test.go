@@ -1,10 +1,11 @@
 // Differential tests for the per-run arena (internal/core/arena.go): the
 // arena must be invisible in the results — every SLRH variant must
 // produce a bit-for-bit identical schedule on a fresh arena (core.Run)
-// and on every reuse of one arena, with the plan cache on and off, with
-// fault plans and arrivals active. The steady-state allocation pin at
-// the bottom is the zero-alloc property's unit-level gate (benchrunner
-// -check holds the benchmark-level one).
+// and on every reuse of one arena, with fault plans and arrivals active.
+// The steady-state allocation pin at the bottom is the zero-alloc
+// property's unit-level gate (benchrunner -check holds the
+// benchmark-level one). internal/core's TestRunMatchesReference checks
+// the schedules themselves against the plainly written reference loop.
 package adhocgrid_test
 
 import (
@@ -24,40 +25,42 @@ import (
 // configuration: the first grows the buffers, the rest prove reuse.
 const arenaRuns = 3
 
-// assertArenaTransparent runs cfg across the cache on/off × arena
-// fresh/reused matrix — plain Run, then arenaRuns runs through one
-// reused arena — and fails unless every schedule is identical to the
-// cached plain run's export.
+// runExport executes one SLRH configuration and returns the exported
+// schedule.
+func runExport(t *testing.T, inst *workload.Instance, cfg core.Config) sched.Export {
+	t.Helper()
+	res, err := core.Run(inst, cfg)
+	if err != nil {
+		t.Fatalf("%v: %v", cfg.Variant, err)
+	}
+	return res.State.Export()
+}
+
+// assertArenaTransparent runs cfg on a fresh arena (plain Run), then
+// arenaRuns times through one reused arena, and fails unless every
+// schedule is identical to the plain run's export.
 func assertArenaTransparent(t *testing.T, inst *workload.Instance, cfg core.Config, label string) {
 	t.Helper()
-	cfg.DisablePlanCache = false
 	want := runExport(t, inst, cfg)
-	for _, disable := range []bool{false, true} {
-		c := cfg
-		c.DisablePlanCache = disable
-		if got := runExport(t, inst, c); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: cacheOff=%v plain Run differs from the cached run", label, disable)
+	a := core.NewArena()
+	for run := 0; run < arenaRuns; run++ {
+		res, err := core.RunArena(inst, cfg, a)
+		if err != nil {
+			t.Fatalf("%s: arena run %d: %v", label, run, err)
 		}
-		a := core.NewArena()
-		for run := 0; run < arenaRuns; run++ {
-			res, err := core.RunArena(inst, c, a)
-			if err != nil {
-				t.Fatalf("%s: cacheOff=%v arena run %d: %v", label, disable, run, err)
-			}
-			got := res.State.Export()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: cacheOff=%v arena run %d differs from plain Run\narena: mapped=%d T100=%d TEC=%g AET=%g\nplain: mapped=%d T100=%d TEC=%g AET=%g",
-					label, disable, run,
-					got.Metrics.Mapped, got.Metrics.T100, got.Metrics.TEC, got.Metrics.AETSeconds,
-					want.Metrics.Mapped, want.Metrics.T100, want.Metrics.TEC, want.Metrics.AETSeconds)
-			}
+		got := res.State.Export()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: arena run %d differs from plain Run\narena: mapped=%d T100=%d TEC=%g AET=%g\nplain: mapped=%d T100=%d TEC=%g AET=%g",
+				label, run,
+				got.Metrics.Mapped, got.Metrics.T100, got.Metrics.TEC, got.Metrics.AETSeconds,
+				want.Metrics.Mapped, want.Metrics.T100, want.Metrics.TEC, want.Metrics.AETSeconds)
 		}
 	}
 }
 
 // TestArenaDifferentialSuite: SLRH-1/2/3 through RunArena — reused
 // arenas included — produce schedules identical to plain Run on every
-// grid case, with the plan cache on and off.
+// grid case.
 func TestArenaDifferentialSuite(t *testing.T) {
 	env, err := exp.NewEnv(exp.Bench())
 	if err != nil {
@@ -157,7 +160,7 @@ func TestParallelDifferentialFaultPlan(t *testing.T) {
 
 // TestArenaDifferentialArrivals checks the arrival gating: a subtask
 // released mid-run must enter the pools only once its arrival cycle
-// passes, identically on fresh and reused arenas, cache on and off.
+// passes, identically on fresh and reused arenas.
 func TestArenaDifferentialArrivals(t *testing.T) {
 	p := workload.DefaultParams(96)
 	p.ArrivalRate = 0.01
@@ -223,8 +226,8 @@ func TestArenaReuseAcrossInstances(t *testing.T) {
 
 // TestArenaSteadyStateAllocs pins the zero-alloc property at the unit
 // level: after warm-up, a full SLRH run on a reused arena performs no
-// steady-state heap allocations, with the plan cache on and off.
-// benchrunner -check gates the same property on the recorded benchmarks.
+// steady-state heap allocations. benchrunner -check gates the same
+// property on the recorded benchmarks.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -237,30 +240,19 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := sched.NewWeights(0.5, 0.3)
-	cases := []struct {
-		name     string
-		uncached bool
-	}{
-		{"serial_cached", false},
-		{"serial_uncached", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.DefaultConfig(core.SLRH1, w)
-			cfg.DisablePlanCache = tc.uncached
-			a := core.NewArena()
-			op := func() {
-				if _, err := core.RunArena(inst, cfg, a); err != nil {
-					t.Fatal(err)
-				}
+	cfg := core.DefaultConfig(core.SLRH1, sched.NewWeights(0.5, 0.3))
+	t.Run("serial_cached", func(t *testing.T) {
+		a := core.NewArena()
+		op := func() {
+			if _, err := core.RunArena(inst, cfg, a); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 2; i++ { // reach the buffers' high-water marks
-				op()
-			}
-			if avg := testing.AllocsPerRun(3, op); avg > 0 {
-				t.Errorf("steady-state allocs/run = %g, want 0", avg)
-			}
-		})
-	}
+		}
+		for i := 0; i < 2; i++ { // reach the buffers' high-water marks
+			op()
+		}
+		if avg := testing.AllocsPerRun(3, op); avg > 0 {
+			t.Errorf("steady-state allocs/run = %g, want 0", avg)
+		}
+	})
 }

@@ -16,6 +16,7 @@ import (
 	"adhocgrid/internal/bound"
 	"adhocgrid/internal/core"
 	"adhocgrid/internal/exp"
+	"adhocgrid/internal/fault"
 	"adhocgrid/internal/grid"
 	"adhocgrid/internal/lrnn"
 	"adhocgrid/internal/maxmax"
@@ -165,31 +166,9 @@ func BenchmarkFig7Metric(b *testing.B) {
 }
 
 // --- Ablations (design choices called out in §IV/§VII) ---
-
-// BenchmarkAblationCommEnergy compares the worst-case child-communication
-// energy reservation against the optimistic (no reservation) variant. The
-// paper claims the conservative choice costs nothing because comm energy
-// is negligible; the reported T100 delta measures that claim.
-func BenchmarkAblationCommEnergy(b *testing.B) {
-	inst := benchInstance(b, 192, grid.CaseA, 0)
-	w := sched.NewWeights(0.5, 0.3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		worst := core.DefaultConfig(core.SLRH1, w)
-		rw, err := core.Run(inst, worst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		optimistic := core.DefaultConfig(core.SLRH1, w)
-		optimistic.OptimisticComm = true
-		ro, err := core.Run(inst, optimistic)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rw.Metrics.T100), "T100-worstcase")
-		b.ReportMetric(float64(ro.Metrics.T100), "T100-optimistic")
-	}
-}
+//
+// The §IV communication-energy ablation runs against the test-only
+// reference loop, so BenchmarkAblationCommEnergy lives in internal/core.
 
 // BenchmarkAblationHorizon sweeps the receding horizon H; the paper found
 // its impact on both T100 and execution time negligible (§VII).
@@ -236,16 +215,17 @@ func BenchmarkAblationActivation(b *testing.B) {
 func BenchmarkAblationAdaptiveAlpha(b *testing.B) {
 	inst := benchInstance(b, 192, grid.CaseA, 0)
 	w := sched.NewWeights(0.5, 0.3)
+	loss := &fault.Plan{Events: []fault.Event{{Kind: fault.Lose, At: inst.TauCycles / 6, Machine: 1}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fixed := core.DefaultConfig(core.SLRH1, w)
-		fixed.Events = []core.Event{{At: inst.TauCycles / 6, Machine: 1}}
+		fixed.Faults = loss
 		rf, err := core.Run(inst, fixed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		adaptive := core.DefaultConfig(core.SLRH1, w)
-		adaptive.Events = []core.Event{{At: inst.TauCycles / 6, Machine: 1}}
+		adaptive.Faults = loss
 		adaptive.Adaptive = core.NewAdaptiveController(w)
 		ra, err := core.Run(inst, adaptive)
 		if err != nil {
@@ -303,33 +283,24 @@ func BenchmarkSLRH3(b *testing.B) {
 }
 
 // BenchmarkSLRH measures the full SLRH variants at exp.Default() scale
-// (|T|=256) with the generation-tracked plan cache on and off — the
-// incremental-state speedup the cache exists for. The differential tests
-// in incremental_test.go prove the two configurations produce identical
-// schedules.
+// (|T|=256). internal/core's TestRunMatchesReference proves each
+// schedule identical to the plainly written reference loop.
 func BenchmarkSLRH(b *testing.B) {
 	inst := benchInstance(b, 256, grid.CaseA, 0)
 	w := sched.NewWeights(0.5, 0.3)
 	for _, v := range []core.Variant{core.SLRH1, core.SLRH2, core.SLRH3} {
-		for _, disable := range []bool{false, true} {
-			name := v.String() + "/cached"
-			if disable {
-				name = v.String() + "/uncached"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := core.DefaultConfig(v, w)
-				cfg.DisablePlanCache = disable
-				for i := 0; i < b.N; i++ {
-					r, err := core.Run(inst, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Metrics.Mapped == 0 {
-						b.Fatal("mapped nothing")
-					}
+		b.Run(v.String(), func(b *testing.B) {
+			cfg := core.DefaultConfig(v, w)
+			for i := 0; i < b.N; i++ {
+				r, err := core.Run(inst, cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if r.Metrics.Mapped == 0 {
+					b.Fatal("mapped nothing")
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Run the suite and write a report:
 //
-//	benchrunner -out BENCH_12.json
+//	benchrunner -out BENCH_19.json
 //	benchrunner -out bench.json -short          # CI smoke iterations
 //	benchrunner -out bench.json -filter n256    # subset by name
 //
@@ -12,7 +12,7 @@
 // benchmark whose ns/op or allocs/op grew more than -tolerance, or on
 // missing coverage):
 //
-//	benchrunner -compare bench.json -base BENCH_12.json
+//	benchrunner -compare bench.json -base BENCH_19.json
 //
 // Enforce a fresh report's absolute expectations (the allocation caps):
 //

@@ -275,18 +275,16 @@ func parsePlan(faults, lose string) (*fault.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range events {
-			pl.Events = append(pl.Events, fault.Event{Kind: fault.Lose, At: e.At, Machine: e.Machine})
-		}
+		pl.Events = append(pl.Events, events...)
 	}
 	pl.Normalize()
 	return pl, nil
 }
 
 // parseEvents parses the -lose spec: comma-separated machine@cycle
-// pairs, e.g. "1@40000" or "0@10000,2@50000".
-func parseEvents(s string) ([]core.Event, error) {
-	var events []core.Event
+// pairs, e.g. "1@40000" or "0@10000,2@50000", into loss events.
+func parseEvents(s string) ([]fault.Event, error) {
+	var events []fault.Event
 	for _, part := range strings.Split(s, ",") {
 		bits := strings.Split(part, "@")
 		if len(bits) != 2 {
@@ -300,7 +298,7 @@ func parseEvents(s string) ([]core.Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad cycle in %q: %v", part, err)
 		}
-		events = append(events, core.Event{At: at, Machine: m})
+		events = append(events, fault.Event{Kind: fault.Lose, At: at, Machine: m})
 	}
 	return events, nil
 }

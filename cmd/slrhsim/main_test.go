@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"adhocgrid/internal/core"
+	"adhocgrid/internal/fault"
 	"adhocgrid/internal/serve"
 )
 
@@ -19,13 +19,15 @@ func TestParseEvents(t *testing.T) {
 	cases := []struct {
 		name    string
 		spec    string
-		want    []core.Event
+		want    []fault.Event
 		wantErr string
 	}{
-		{name: "single", spec: "1@40000", want: []core.Event{{At: 40000, Machine: 1}}},
-		{name: "multi", spec: "0@10000,2@50000,1@60000", want: []core.Event{
-			{At: 10000, Machine: 0}, {At: 50000, Machine: 2}, {At: 60000, Machine: 1}}},
-		{name: "machine zero at cycle zero", spec: "0@0", want: []core.Event{{At: 0, Machine: 0}}},
+		{name: "single", spec: "1@40000", want: []fault.Event{{Kind: fault.Lose, At: 40000, Machine: 1}}},
+		{name: "multi", spec: "0@10000,2@50000,1@60000", want: []fault.Event{
+			{Kind: fault.Lose, At: 10000, Machine: 0},
+			{Kind: fault.Lose, At: 50000, Machine: 2},
+			{Kind: fault.Lose, At: 60000, Machine: 1}}},
+		{name: "machine zero at cycle zero", spec: "0@0", want: []fault.Event{{Kind: fault.Lose, At: 0, Machine: 0}}},
 		{name: "missing separator", spec: "140000", wantErr: "want machine@cycle"},
 		{name: "too many separators", spec: "1@2@3", wantErr: "want machine@cycle"},
 		{name: "empty spec", spec: "", wantErr: "want machine@cycle"},

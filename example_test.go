@@ -66,7 +66,9 @@ func ExampleConfig_machineLoss() {
 		panic(err)
 	}
 	cfg := adhocgrid.DefaultConfig(adhocgrid.SLRH1, adhocgrid.NewWeights(0.5, 0.3))
-	cfg.Events = []adhocgrid.Event{{At: inst.TauCycles / 8, Machine: 1}}
+	cfg.Faults = &adhocgrid.FaultPlan{Events: []adhocgrid.FaultEvent{
+		{Kind: adhocgrid.FaultLose, At: inst.TauCycles / 8, Machine: 1},
+	}}
 	cfg.Adaptive = adhocgrid.NewAdaptiveController(cfg.Weights)
 	res, err := adhocgrid.RunSLRHConfig(inst, cfg)
 	if err != nil {

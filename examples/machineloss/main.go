@@ -56,15 +56,18 @@ func main() {
 
 	// 2. Loss with fixed weights: the heuristic keeps chasing primaries
 	// with three machines' worth of resources.
+	loss := &adhocgrid.FaultPlan{Events: []adhocgrid.FaultEvent{
+		{Kind: adhocgrid.FaultLose, At: lossAt, Machine: 1},
+	}}
 	cfg := adhocgrid.DefaultConfig(adhocgrid.SLRH1, weights)
-	cfg.Events = []adhocgrid.Event{{At: lossAt, Machine: 1}}
+	cfg.Faults = loss
 	run("loss, fixed weights:", cfg)
 
 	// 3. Loss with adaptive multipliers: when progress lags the clock the
 	// controller lowers alpha (more secondary versions, faster mapping)
 	// and raises beta when energy burns faster than progress.
 	cfg = adhocgrid.DefaultConfig(adhocgrid.SLRH1, weights)
-	cfg.Events = []adhocgrid.Event{{At: lossAt, Machine: 1}}
+	cfg.Faults = loss
 	cfg.Adaptive = adhocgrid.NewAdaptiveController(weights)
 	run("loss, adaptive:", cfg)
 

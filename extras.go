@@ -73,8 +73,8 @@ func TauCycles(n int) int64 { return grid.TauCycles(n) }
 
 // LoseMachine removes machine j from a schedule's grid at the given cycle,
 // unwinding every assignment the loss invalidates; it returns the subtask
-// ids that must be re-mapped. Prefer Config.Events for losses during an
-// SLRH run; this entry point serves custom control loops.
+// ids that must be re-mapped. Prefer Config.Faults (a FaultLose event) for
+// losses during an SLRH run; this entry point serves custom control loops.
 func LoseMachine(s *Schedule, machine int, at int64) ([]int, error) {
 	return s.LoseMachine(machine, at)
 }

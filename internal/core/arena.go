@@ -17,10 +17,10 @@ import (
 // and benchrunner -check).
 
 // Arena owns the reusable storage of SLRH runs: the schedule state, the
-// runner (candidate pool, plan cache, pricing scratch) and the Result.
-// Run is RunArena on a fresh arena; reusing one across calls yields
-// byte-identical schedules (proven by the differential arena tests)
-// without rebuilding any of it.
+// runner (candidate pool, plan cache, ready and eligible buffers) and
+// the Result. Run is RunArena on a fresh arena; reusing one across calls
+// yields byte-identical schedules (proven by the differential arena
+// tests) without rebuilding any of it.
 //
 // Ownership contract: the *Result returned by RunArena (including
 // Result.State) is valid only until the next RunArena call on the same

@@ -126,35 +126,6 @@ func TestFaultSlowdownStretchesTransfers(t *testing.T) {
 	}
 }
 
-// TestFaultPlanMergesLegacyEvents proves the legacy Events list and the
-// structured plan are one sequence: a loss delivered via Events pairs
-// with a rejoin delivered via Faults, and a duplicate loss split across
-// the two forms is rejected by validation.
-func TestFaultPlanMergesLegacyEvents(t *testing.T) {
-	inst := makeInstance(t, 48, 61, grid.CaseA)
-	cfg := DefaultConfig(SLRH1, sched.NewWeights(0.5, 0.3))
-	loseAt := inst.TauCycles / 8
-	cfg.Events = []Event{{At: loseAt, Machine: 1}}
-	cfg.Faults = &fault.Plan{Events: []fault.Event{
-		{Kind: fault.Rejoin, At: loseAt + 50, Machine: 1},
-	}}
-	res, err := Run(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.State.Alive(1) || len(res.State.Downtime(1)) != 1 {
-		t.Fatalf("legacy loss + plan rejoin not merged: alive=%v downtime=%v",
-			res.State.Alive(1), res.State.Downtime(1))
-	}
-
-	cfg.Faults = &fault.Plan{Events: []fault.Event{
-		{Kind: fault.Lose, At: loseAt + 50, Machine: 1},
-	}}
-	if _, err := Run(inst, cfg); err == nil {
-		t.Fatal("duplicate loss split across Events and Faults accepted")
-	}
-}
-
 // TestFaultDeterminism runs the same (seed, scenario, plan) twice and
 // requires identical results including the fault counters.
 func TestFaultDeterminism(t *testing.T) {

@@ -77,23 +77,12 @@ type Config struct {
 	// mutate the state.
 	Observer func(now int64, st *sched.State)
 
-	// Events, when non-nil, injects dynamic grid changes: before the
-	// timestep at cycle `now`, every event with At <= now that has not yet
-	// fired is applied (machine-loss extension).
-	Events []Event
-
-	// Faults, when non-nil, injects the full fault plan: machine losses
-	// and rejoins, transient subtask failures, and link-degradation
-	// windows (see internal/fault). It is merged with the legacy Events
-	// list (each entry treated as a loss), normalized, and validated
-	// before the run. Events with At beyond the cycle where every
-	// execution has completed never fire.
+	// Faults, when non-nil, injects the fault plan: machine losses and
+	// rejoins, transient subtask failures, and link-degradation windows
+	// (see internal/fault). It is normalized and validated before the
+	// run. Events with At beyond the cycle where every execution has
+	// completed never fire.
 	Faults *fault.Plan
-
-	// OptimisticComm switches the pool-feasibility test to the ablation
-	// variant that omits the worst-case child-communication energy
-	// reservation (§IV design choice; see BenchmarkAblationCommEnergy).
-	OptimisticComm bool
 
 	// ScoreWorkers and PoolWorkers are read by nothing: scoring is
 	// serial (DESIGN.md §14).
@@ -102,19 +91,6 @@ type Config struct {
 	ScoreWorkers int
 	// Deprecated: ignored; kept only because bench/ compiles against it.
 	PoolWorkers int
-
-	// DisablePlanCache turns off the generation-tracked candidate plan
-	// cache (sched.PlanCache, internal/sched/plancache.go) and re-prices
-	// every eligible candidate at every pool build. Results are identical
-	// either way — the flag exists for the differential tests and
-	// benchmarks that prove it.
-	DisablePlanCache bool
-}
-
-// Event is a dynamic grid change injected during a run.
-type Event struct {
-	At      int64 // cycle at which the event fires
-	Machine int   // machine lost
 }
 
 // DefaultConfig returns the paper's baseline configuration for a variant.
@@ -185,8 +161,8 @@ func (p *candPool) reset() {
 }
 
 // add appends one candidate, copying the plan's transfers into the
-// pool's slab (the source buffer is cache- or scratch-owned and will be
-// overwritten by the next pricing).
+// pool's slab (the source buffer is owned by a plan-cache entry and will
+// be overwritten by that entry's next pricing).
 func (p *candPool) add(i int, v workload.Version, plan *sched.Plan, score float64) {
 	p.order = append(p.order, int32(len(p.subtask)))
 	p.subtask = append(p.subtask, int32(i))
@@ -265,14 +241,12 @@ func (s *trSlab) copy(ts []sched.Transfer) []sched.Transfer {
 // runs so every buffer below reaches steady state after the first run
 // and stays there.
 type runner struct {
-	st        *sched.State
-	cfg       Config
-	readyBuf  []int
-	eligible  []int
-	pool      candPool
-	cache     *sched.PlanCache // nil when Config.DisablePlanCache
-	pairBuf   sched.PlanPair   // pricing scratch when the cache is off
-	trScratch []sched.Transfer // cache-off pricing transfer buffer
+	st       *sched.State
+	cfg      Config
+	readyBuf []int
+	eligible []int
+	pool     candPool
+	cache    *sched.PlanCache
 }
 
 // Run executes the SLRH heuristic on the instance and returns the
@@ -286,16 +260,13 @@ func Run(inst *workload.Instance, cfg Config) (*Result, error) {
 // which is what makes the arena path's steady state allocation-free; a
 // zero runner behaves identically and simply grows them on first use.
 func (r *runner) run(st *sched.State, cfg Config, res *Result) error {
-	// Merge the structured fault plan with the legacy loss-event list into
-	// one validated, ordered event sequence, and install the plan's
-	// link-degradation windows before any pricing happens.
+	// Copy the fault plan into one validated, ordered event sequence (the
+	// caller's plan is left untouched), and install its link-degradation
+	// windows before any pricing happens.
 	var pl fault.Plan
 	if cfg.Faults != nil {
 		pl.Events = append(pl.Events, cfg.Faults.Events...)
 		pl.Windows = append(pl.Windows, cfg.Faults.Windows...)
-	}
-	for _, ev := range cfg.Events {
-		pl.Events = append(pl.Events, fault.Event{Kind: fault.Lose, At: ev.At, Machine: ev.Machine})
 	}
 	// Normalize/Validate are no-ops on an empty plan; skipping them keeps
 	// the no-fault steady state (the benchmarked one) allocation-free.
@@ -315,9 +286,7 @@ func (r *runner) run(st *sched.State, cfg Config, res *Result) error {
 	}
 
 	r.st, r.cfg = st, cfg
-	if cfg.DisablePlanCache {
-		r.cache = nil
-	} else if r.cache == nil {
+	if r.cache == nil {
 		r.cache = sched.NewPlanCache(st.N(), st.Inst.Grid.M())
 	} else {
 		r.cache.Reset(st.N(), st.Inst.Grid.M())
@@ -463,50 +432,23 @@ func (r *runner) buildPool(j int, now int64) {
 		if st.Inst.ArrivalCycle(i) > now {
 			continue
 		}
-		if r.cfg.OptimisticComm {
-			if !st.FeasibleSLRHOptimistic(i, j) {
-				continue
-			}
-		} else if !st.FeasibleSLRH(i, j) {
+		if !st.FeasibleSLRH(i, j) {
 			continue
 		}
 		r.eligible = append(r.eligible, i)
 	}
 	for _, i := range r.eligible {
-		r.poolAddBest(i, r.plansFor(i, j, now))
+		r.poolAddBest(i, r.cache.Pair(st, i, j, now))
 	}
 	sort.Sort(&r.pool)
 }
 
-// plansFor returns the candidate pricing for (i, j), through the plan
-// cache when enabled. The returned pointer is into the cache entry (or a
-// runner scratch slot) and is only valid until the next pricing call.
-func (r *runner) plansFor(i, j int, now int64) *sched.PlanPair {
-	if r.cache == nil {
-		r.pairBuf = r.pricePair(i, j, now)
-		return &r.pairBuf
-	}
-	return r.cache.Pair(r.st, i, j, now)
-}
-
-// pricePair runs the full pricing of both versions into the runner's
-// cache-off scratch buffer (safe: the pool and Commit copy the transfer
-// contents out before the next pricing overwrites it).
-func (r *runner) pricePair(i, j int, now int64) sched.PlanPair {
-	planP, errP, planS, errS := r.st.PlanCandidateVersionsBuf(i, j, now, &r.trScratch)
-	return sched.PlanPair{PlanP: planP, PlanS: planS, OKP: errP == nil, OKS: errS == nil}
-}
-
-// freshPlan re-prices one version of candidate (i, j), going through the
-// plan cache when it is enabled (the stale re-check in mapFirstStartable
-// follows commits, which is exactly what the cache's revalidation and
-// geometry-replay paths absorb).
+// freshPlan re-prices one version of candidate (i, j) through the plan
+// cache (the stale re-check in mapFirstStartable follows commits, which
+// is exactly what the cache's revalidation and geometry-replay paths
+// absorb).
 func (r *runner) freshPlan(i, j int, v workload.Version, now int64) (sched.Plan, bool) {
-	if r.cache == nil {
-		fresh, err := r.st.PlanCandidate(i, j, v, now)
-		return fresh, err == nil
-	}
-	pair := r.plansFor(i, j, now)
+	pair := r.cache.Pair(r.st, i, j, now)
 	if v == workload.Primary {
 		return pair.PlanP, pair.OKP
 	}
@@ -550,7 +492,10 @@ func (r *runner) poolAddBest(i int, pair *sched.PlanPair) {
 func (r *runner) mapFirstStartable(now int64, cachedHorizon bool) bool {
 	st := r.st
 	p := &r.pool
-	deadline := now + r.cfg.Horizon
+	// The horizon test compares start-now against H: pricing never starts
+	// a plan before now, so the difference cannot overflow, whereas
+	// now+H does for H near MaxInt64.
+	h := r.cfg.Horizon
 	for k := 0; k < len(p.order); k++ {
 		ord := p.order[k]
 		subtask := int(p.subtask[ord])
@@ -566,10 +511,10 @@ func (r *runner) mapFirstStartable(now int64, cachedHorizon bool) bool {
 			if cachedHorizon {
 				// SLRH-2: the pool is not re-evaluated, so the horizon
 				// test sees the start priced when the pool was built.
-				if plan.Start > deadline {
+				if plan.Start-now > h {
 					continue
 				}
-			} else if fresh.Start > deadline {
+			} else if fresh.Start-now > h {
 				continue
 			}
 			if err := st.Commit(fresh); err != nil {
@@ -578,7 +523,7 @@ func (r *runner) mapFirstStartable(now int64, cachedHorizon bool) bool {
 			p.order = append(p.order[:k], p.order[k+1:]...)
 			return true
 		}
-		if plan.Start > deadline {
+		if plan.Start-now > h {
 			continue
 		}
 		if err := st.Commit(*plan); err != nil {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"adhocgrid/internal/fault"
 	"adhocgrid/internal/grid"
 	"adhocgrid/internal/rng"
 	"adhocgrid/internal/sched"
@@ -23,6 +26,11 @@ func makeInstance(t testing.TB, n int, seed uint64, c grid.Case) *workload.Insta
 		t.Fatal(err)
 	}
 	return inst
+}
+
+// lossPlan is a fault plan with one machine loss.
+func lossPlan(at int64, machine int) *fault.Plan {
+	return &fault.Plan{Events: []fault.Event{{Kind: fault.Lose, At: at, Machine: machine}}}
 }
 
 func TestVariantString(t *testing.T) {
@@ -148,6 +156,32 @@ func TestHorizonLimitsLookahead(t *testing.T) {
 	}
 }
 
+// TestHorizonPastTauMatchesTau: no feasible plan starts past τ, so any
+// horizon of at least τ admits every candidate, and H = MaxInt64 must
+// map exactly what H = τ maps (the horizon test must not overflow).
+func TestHorizonPastTauMatchesTau(t *testing.T) {
+	inst := makeInstance(t, 64, 1, grid.CaseA)
+	for _, v := range variants {
+		cfg := DefaultConfig(v, sched.NewWeights(0.5, 0.3))
+		cfg.Horizon = inst.TauCycles
+		want, err := Run(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantExport, wantSteps := want.State.Export(), want.Timesteps
+		cfg.Horizon = math.MaxInt64
+		got, err := Run(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Timesteps != wantSteps || !reflect.DeepEqual(got.State.Export(), wantExport) {
+			t.Fatalf("%v: H=MaxInt64 mapped %d (T100 %d) in %d timesteps; H=τ mapped %d (T100 %d) in %d",
+				v, got.Metrics.Mapped, got.Metrics.T100, got.Timesteps,
+				wantExport.Metrics.Mapped, wantExport.Metrics.T100, wantSteps)
+		}
+	}
+}
+
 func TestObserverInvoked(t *testing.T) {
 	inst := makeInstance(t, 32, 19, grid.CaseA)
 	cfg := DefaultConfig(SLRH1, sched.NewWeights(0.3, 0.1))
@@ -173,7 +207,8 @@ func TestMachineLossDuringRun(t *testing.T) {
 	inst := makeInstance(t, 96, 23, grid.CaseA)
 	cfg := DefaultConfig(SLRH1, sched.NewWeights(0.3, 0.1))
 	// Lose a fast machine a quarter of the way into the deadline.
-	cfg.Events = []Event{{At: inst.TauCycles / 4, Machine: 1}}
+	lossAt := inst.TauCycles / 4
+	cfg.Faults = lossPlan(lossAt, 1)
 	res, err := Run(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +221,7 @@ func TestMachineLossDuringRun(t *testing.T) {
 	}
 	// Nothing may be assigned to the dead machine after the loss cycle.
 	for _, a := range res.State.Assignments {
-		if a != nil && a.Machine == 1 && a.End > cfg.Events[0].At {
+		if a != nil && a.Machine == 1 && a.End > lossAt {
 			t.Fatalf("subtask %d scheduled on dead machine past loss", a.Subtask)
 		}
 	}
@@ -377,29 +412,6 @@ func TestSLRH3MapsAsManyOrMorePerTimestep(t *testing.T) {
 	}
 }
 
-func TestOptimisticCommConfig(t *testing.T) {
-	inst := makeInstance(t, 96, 59, grid.CaseA)
-	cfg := DefaultConfig(SLRH1, sched.NewWeights(0.5, 0.3))
-	cfg.OptimisticComm = true
-	res, err := Run(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := sim.Verify(res.State); len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-	// The paper's claim: communication energy is negligible, so the
-	// optimistic variant should not differ much from the conservative one.
-	base, err := Run(inst, DefaultConfig(SLRH1, sched.NewWeights(0.5, 0.3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := res.Metrics.T100 - base.Metrics.T100
-	if diff < -5 || diff > 5 {
-		t.Fatalf("comm-energy reservation changed T100 by %d", diff)
-	}
-}
-
 func TestEventAfterCompletionNeverFires(t *testing.T) {
 	inst := makeInstance(t, 48, 61, grid.CaseA)
 	cfg := DefaultConfig(SLRH1, sched.NewWeights(0.5, 0.3))
@@ -408,7 +420,7 @@ func TestEventAfterCompletionNeverFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Events = []Event{{At: base.State.AETCycles + 10_000, Machine: 0}}
+	cfg.Faults = lossPlan(base.State.AETCycles+10_000, 0)
 	res, err := Run(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +445,7 @@ func TestEventBetweenMappingAndExecutionFires(t *testing.T) {
 	}
 	// A loss before the realized AET must fire even though the mapping
 	// itself completed long before.
-	cfg.Events = []Event{{At: base.State.AETCycles - 1, Machine: 0}}
+	cfg.Faults = lossPlan(base.State.AETCycles-1, 0)
 	res, err := Run(inst, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,6 @@ const ZeroAllocBudget = 0.5
 // per-triplet re-pricing loop the cache replaced (~7.2k).
 var AllocCaps = map[string]float64{
 	"slrh1_serial_n256":      ZeroAllocBudget,
-	"slrh1_uncached_n256":    ZeroAllocBudget,
 	"slrh1_serial_n1024":     ZeroAllocBudget,
 	"maxmax_n256":            5_000,
 	"slrhd_map_n96":          2_500,

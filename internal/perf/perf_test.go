@@ -194,7 +194,6 @@ func TestReportFileRoundTrip(t *testing.T) {
 	setAllocs(t, r, "a", 42)
 	r.Seed = 7
 	r.GoMaxProcs = 2
-	r.Derived = []Metric{{Name: "x", Value: 1.5}}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := WriteFile(path, r); err != nil {
 		t.Fatal(err)
@@ -236,14 +235,14 @@ func TestReportCarriesNoTimestamps(t *testing.T) {
 	}
 }
 
-// TestRunSubsetDeterministicMetrics runs the real suite (one fast
-// benchmark, one iteration) twice and requires the schedule-quality
+// TestRunSubsetDeterministicMetrics runs the real suite (two fast
+// benchmarks, one iteration) twice and requires the schedule-quality
 // metrics to agree exactly — ns/op may move, t100 may not.
 func TestRunSubsetDeterministicMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real scheduler")
 	}
-	opts := Options{Iters: 1, Filter: []string{"slrh1_serial_n256", "slrh1_uncached_n256"}}
+	opts := Options{Iters: 1, Filter: []string{"slrh1_serial_n256", "maxmax_n256"}}
 	a, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -269,16 +268,5 @@ func TestRunSubsetDeterministicMetrics(t *testing.T) {
 					a.Benchmarks[k].Name, am[i].Name, am[i].Value, bm[i].Value)
 			}
 		}
-	}
-	// Cached and uncached must also agree with each other (byte-identical
-	// schedules), and the derived speedup must have been computed.
-	for i := range a.Benchmarks[0].Metrics {
-		if a.Benchmarks[0].Metrics[i] != a.Benchmarks[1].Metrics[i] {
-			t.Errorf("cached vs uncached metric %s: %v vs %v",
-				a.Benchmarks[0].Metrics[i].Name, a.Benchmarks[0].Metrics[i].Value, a.Benchmarks[1].Metrics[i].Value)
-		}
-	}
-	if _, ok := a.Derive("speedup_plan_cache_n256"); !ok {
-		t.Error("derived speedup_plan_cache_n256 missing")
 	}
 }

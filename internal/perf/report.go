@@ -23,8 +23,7 @@ import (
 // fail loudly on missing data instead of treating it as 0.
 const SchemaVersion = 2
 
-// Metric is one named scalar attached to a benchmark or derived from
-// the whole report.
+// Metric is one named scalar attached to a benchmark.
 type Metric struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
@@ -53,9 +52,6 @@ type Report struct {
 	Seed          uint64        `json:"seed"`
 	GoMaxProcs    int           `json:"gomaxprocs"`
 	Benchmarks    []BenchResult `json:"benchmarks"`
-	// Derived holds cross-benchmark ratios (speedups), computed from the
-	// measurements above so consumers need not re-derive them.
-	Derived []Metric `json:"derived,omitempty"`
 }
 
 // Allocs returns the benchmark's allocs/op and whether it was recorded.
@@ -82,16 +78,6 @@ func (r *Report) Bench(name string) *BenchResult {
 		}
 	}
 	return nil
-}
-
-// Derive returns the named derived metric and whether it exists.
-func (r *Report) Derive(name string) (float64, bool) {
-	for _, m := range r.Derived {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
 }
 
 // Write emits the canonical serialization: indented JSON plus a

@@ -57,21 +57,19 @@ func instance(n int) (*workload.Instance, error) {
 	return s.Instantiate(grid.CaseA)
 }
 
-// slrhBench builds one SLRH-1 benchmark at |T|=n; uncached disables the
-// plan cache.
+// slrhBench builds one SLRH-1 benchmark at |T|=n.
 //
 // Every SLRH benchmark runs through a core.Arena so the measured steady
 // state is the zero-alloc one the AllocCaps pin: the first measure()
 // warm-up op grows the arena to the workload's high-water mark, and the
 // timed iterations reuse that storage.
-func slrhBench(n int, uncached bool) func() (func(), func() []Metric, error) {
+func slrhBench(n int) func() (func(), func() []Metric, error) {
 	return func() (func(), func() []Metric, error) {
 		inst, err := instance(n)
 		if err != nil {
 			return nil, nil, err
 		}
 		cfg := core.DefaultConfig(core.SLRH1, weights())
-		cfg.DisablePlanCache = uncached
 		arena := core.NewArena()
 		var last *core.Result
 		op := func() {
@@ -268,9 +266,8 @@ func admissionBench() func() (func(), func() []Metric, error) {
 // compares baselines by name.
 func suite() []benchmark {
 	return []benchmark{
-		{name: "slrh1_serial_n256", iters: 30, shortIters: 5, setup: slrhBench(256, false)},
-		{name: "slrh1_uncached_n256", iters: 10, shortIters: 3, setup: slrhBench(256, true)},
-		{name: "slrh1_serial_n1024", iters: 8, shortIters: 4, setup: slrhBench(1024, false)},
+		{name: "slrh1_serial_n256", iters: 30, shortIters: 5, setup: slrhBench(256)},
+		{name: "slrh1_serial_n1024", iters: 8, shortIters: 4, setup: slrhBench(1024)},
 		{name: "maxmax_n256", iters: 30, shortIters: 5, setup: maxmaxBench(256)},
 		{name: "slrhd_map_n96", iters: 40, shortIters: 6, setup: slrhdBench(96)},
 		{name: "fabric_router_overhead", iters: 40, shortIters: 6, setup: fabricRouterBench(96)},
@@ -325,16 +322,5 @@ func Run(opts Options) (*Report, error) {
 			Metrics:     sample(),
 		})
 	}
-	r.Derived = derive(r)
 	return r, nil
-}
-
-// derive computes the cross-benchmark ratio: the plan cache's speedup,
-// uncached over cached ns/op at |T|=256 (>1 means the cache wins).
-func derive(r *Report) []Metric {
-	a, b := r.Bench("slrh1_uncached_n256"), r.Bench("slrh1_serial_n256")
-	if a == nil || b == nil || b.NsPerOp <= 0 {
-		return nil
-	}
-	return []Metric{{Name: "speedup_plan_cache_n256", Value: a.NsPerOp / b.NsPerOp}}
 }

@@ -363,19 +363,6 @@ func (s *State) FeasibleSLRH(i, j int) bool {
 	return s.Ledger.Remaining(j) >= need
 }
 
-// FeasibleSLRHOptimistic is the ablation variant of FeasibleSLRH that
-// omits the worst-case child-communication reservation (children assumed
-// co-located, costing nothing). The paper argues the worst-case
-// reservation "was not found to significantly affect the mapping process"
-// because communication energy is negligible; BenchmarkAblationCommEnergy
-// measures exactly that claim.
-func (s *State) FeasibleSLRHOptimistic(i, j int) bool {
-	if !s.Alive(j) {
-		return false
-	}
-	return s.Ledger.Remaining(j) >= s.Inst.ExecEnergy(i, j, workload.Secondary)
-}
-
 // MachineAvailable reports whether machine j is alive and its execution
 // unit is idle at cycle `now` — the paper's per-timestep availability gate.
 func (s *State) MachineAvailable(j int, now int64) bool {
@@ -412,25 +399,16 @@ func (s *State) PlanCandidate(i, j int, v workload.Version, now int64) (Plan, er
 // one pass. The incoming transfers are identical for the two versions
 // (they depend only on the parents' placements), so packing them once
 // halves the cost of the SLRH's per-candidate version comparison.
-// Each version carries its own error; both plans share the same transfer
-// slice contents.
+// Each version carries its own error; both plans share one freshly
+// allocated transfer slice.
 func (s *State) PlanCandidateVersions(i, j int, now int64) (primary Plan, perr error, secondary Plan, serr error) {
-	return s.PlanCandidateVersionsBuf(i, j, now, nil)
-}
-
-// PlanCandidateVersionsBuf is PlanCandidateVersions with a reusable
-// transfer buffer, exactly as in PlanVersionsFromGeom: when buf is
-// non-nil the plans' transfers are built in (*buf)[:0] and the grown
-// backing is written back through the pointer, making repeated pricing
-// allocation-free.
-func (s *State) PlanCandidateVersionsBuf(i, j int, now int64, buf *[]Transfer) (primary Plan, perr error, secondary Plan, serr error) {
 	if err := s.planChecks(i, j); err != nil {
 		return primary, err, secondary, err
 	}
 	if err := s.FillCandidateGeom(i, j, &s.geomScratch); err != nil {
 		return primary, err, secondary, err
 	}
-	return s.planVersionsFromGeom(i, j, now, &s.geomScratch, buf)
+	return s.planVersionsFromGeom(i, j, now, &s.geomScratch, nil)
 }
 
 // planChecks performs the version-independent candidate checks.
