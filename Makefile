@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix-hints lint-json lint-vet test loc race check bench bench-json bench-check bench-compare bench-vet fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
+.PHONY: all build vet fmt-check lint lint-fix-hints lint-json lint-vet test loc race check bench bench-json bench-check bench-compare bench-vet fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
 
 all: check
 
@@ -14,6 +14,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file in the tree (the bench/ module and lint fixtures included).
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # Static invariant suite (internal/lint via cmd/adhoclint): the nine
 # analyzers of DESIGN.md §11/§16 — determinism (detrange, wallclock,
@@ -58,7 +64,7 @@ race:
 
 # `race` covers internal/serve, so the service's admission control and
 # drain paths are exercised under the race detector on every check.
-check: build vet lint race
+check: build vet fmt-check lint race
 
 # End-to-end smoke of the slrhd service: boots on a loopback port,
 # exercises map (miss + byte-identical hit), trace, health, readiness

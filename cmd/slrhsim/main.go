@@ -73,6 +73,9 @@ func run(args []string, stdout io.Writer) error {
 		if *traceFile != "" || *assignFile != "" || *gantt > 0 || *chain {
 			return fmt.Errorf("-trace/-assignments/-gantt/-chain are text-mode options; -json emits the service schema only")
 		}
+		if err := rejectDefaultedZeros(fs, *heuristic); err != nil {
+			return err
+		}
 		return runJSON(stdout, *n, *seed, *caseName, *heuristic, *alpha, *beta,
 			*deltaT, *horizon, *adaptive, *energyScale, *lose, *faults)
 	}
@@ -255,6 +258,26 @@ func runJSON(stdout io.Writer, n int, seed uint64, caseName, heuristic string,
 		return err
 	}
 	_, err = stdout.Write(buf.Bytes())
+	return err
+}
+
+// rejectDefaultedZeros refuses, in -json mode, a flag set explicitly to
+// a 0 that the service schema reads as "use the default": -n for every
+// heuristic, and -deltat and -horizon for the SLRH variants (Max-Max has
+// no clock, so the schema ignores them). Without it, -json would
+// silently run the default where text mode runs (or rejects) the 0.
+func rejectDefaultedZeros(fs *flag.FlagSet, heuristic string) error {
+	defaults := map[string]int64{"n": serve.DefaultN}
+	if strings.ToLower(strings.TrimSpace(heuristic)) != "maxmax" {
+		defaults["deltat"] = core.DefaultDeltaT
+		defaults["horizon"] = core.DefaultHorizon
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if def, ok := defaults[f.Name]; ok && err == nil && f.Value.String() == "0" {
+			err = fmt.Errorf("-%s 0 cannot run with -json: the service schema reads 0 as the default (%d)", f.Name, def)
+		}
+	})
 	return err
 }
 

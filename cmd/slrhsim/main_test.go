@@ -228,3 +228,39 @@ func TestRunUnknownFlagsAndValues(t *testing.T) {
 		}
 	}
 }
+
+// TestJSONRejectsDefaultedZeros: the service schema reads 0 as "use the
+// default" for n, deltat and horizon, so an explicit 0 under -json must
+// fail rather than silently run the default (text mode runs or rejects
+// the 0 as given). Max-Max has no clock, so its ΔT and H stay ignored.
+func TestJSONRejectsDefaultedZeros(t *testing.T) {
+	cases := []struct {
+		name    string
+		flags   []string
+		wantErr string // empty: the run must succeed
+	}{
+		{"n zero", []string{"-n", "0"}, "-n 0"},
+		{"n zero maxmax", []string{"-n", "0", "-heuristic", "maxmax"}, "-n 0"},
+		{"deltat zero", []string{"-n", "16", "-deltat", "0"}, "-deltat 0"},
+		{"horizon zero", []string{"-n", "16", "-horizon", "0"}, "-horizon 0"},
+		{"horizon zero slrh3", []string{"-n", "16", "-heuristic", "SLRH3", "-horizon", "0"}, "-horizon 0"},
+		{"maxmax ignores clock zeros", []string{"-n", "16", "-heuristic", "maxmax", "-deltat", "0", "-horizon", "0"}, ""},
+		{"nonzero values run", []string{"-n", "16", "-deltat", "5", "-horizon", "50"}, ""},
+		{"energyscale zero is auto in both modes", []string{"-n", "16", "-energyscale", "0"}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(append([]string{"-json"}, tc.flags...), io.Discard)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("run(%v): %v", tc.flags, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) ||
+				!strings.Contains(err.Error(), "reads 0 as the default") {
+				t.Fatalf("run(%v) err = %v, want a %q refusal naming the schema default", tc.flags, err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -3,32 +3,12 @@ package adhocgrid
 import (
 	"io"
 
-	"adhocgrid/internal/greedy"
 	"adhocgrid/internal/grid"
 	"adhocgrid/internal/sched"
 	"adhocgrid/internal/sim"
 	"adhocgrid/internal/trace"
 	"adhocgrid/internal/workload"
 )
-
-// GreedyResult reports an MCT or Min-Min run.
-type GreedyResult = greedy.Result
-
-// RunMCT executes the minimum-completion-time greedy static mapper — the
-// "simple greedy static heuristic" the paper used to select τ (§III).
-func RunMCT(inst *Instance) (*GreedyResult, error) { return greedy.MCT(inst) }
-
-// RunMinMin executes the Ibarra-Kim Min-Min list scheduler [IbK77], the
-// heuristic family the paper's Max-Max baseline derives from.
-func RunMinMin(inst *Instance) (*GreedyResult, error) { return greedy.MinMin(inst) }
-
-// CalibrateTau reproduces the paper's deadline-selection procedure: the
-// MCT greedy's makespan on the scenario (deadline removed, with a 10%
-// battery reservation for secondary fallbacks) times slack, in clock
-// cycles.
-func CalibrateTau(scn *Scenario, c Case, slack float64) (int64, error) {
-	return greedy.CalibrateTau(scn, c, slack)
-}
 
 // Gantt renders a textual Gantt chart of a schedule: one execution row
 // and one link row per machine across [0, max(AET, τ)].
@@ -52,20 +32,6 @@ func NewRecorder(every int) *Recorder { return trace.NewRecorder(every) }
 func WriteAssignmentsCSV(w io.Writer, s *Schedule) error {
 	return trace.WriteAssignmentsCSV(w, s)
 }
-
-// ExecStats summarizes an executed schedule: per-machine busy/link time
-// and utilization.
-type ExecStats = sim.ExecStats
-
-// Execute replays a schedule's chronological event log through the
-// event-driven consistency checker and returns utilization statistics.
-func Execute(s *Schedule) (ExecStats, error) { return sim.Execute(s) }
-
-// EventLog reconstructs the chronological event sequence of a schedule.
-func EventLog(s *Schedule) []sim.Event { return sim.EventLog(s) }
-
-// SimEvent is one entry of the replay event log.
-type SimEvent = sim.Event
 
 // TauCycles returns the paper's deadline scaled to an n-subtask
 // application, in clock cycles.

@@ -8,44 +8,6 @@ import (
 	"adhocgrid"
 )
 
-func TestPublicGreedyBaselines(t *testing.T) {
-	inst := exampleInstance(t, 96, 21, adhocgrid.CaseA)
-	mct, err := adhocgrid.RunMCT(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mct.Metrics.Complete {
-		t.Fatalf("MCT mapped %d/96", mct.Metrics.Mapped)
-	}
-	mm, err := adhocgrid.RunMinMin(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mm.Metrics.Complete {
-		t.Fatalf("MinMin mapped %d/96", mm.Metrics.Mapped)
-	}
-	if v := adhocgrid.Verify(mct.State); len(v) != 0 {
-		t.Fatalf("MCT violations: %v", v)
-	}
-	if v := adhocgrid.Verify(mm.State); len(v) != 0 {
-		t.Fatalf("MinMin violations: %v", v)
-	}
-}
-
-func TestPublicCalibrateTau(t *testing.T) {
-	scn, err := adhocgrid.GenerateScenario(128, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tau, err := adhocgrid.CalibrateTau(scn, adhocgrid.CaseA, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tau <= 0 {
-		t.Fatalf("tau = %d", tau)
-	}
-}
-
 func TestPublicGanttAndExport(t *testing.T) {
 	inst := exampleInstance(t, 64, 25, adhocgrid.CaseB)
 	res, err := adhocgrid.RunSLRH(inst, adhocgrid.SLRH1, adhocgrid.NewWeights(0.5, 0.3))
@@ -80,24 +42,6 @@ func TestPublicRecorderAndCSV(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != res.Metrics.Mapped+1 {
 		t.Fatalf("CSV lines = %d", lines)
-	}
-}
-
-func TestPublicExecuteAndEventLog(t *testing.T) {
-	inst := exampleInstance(t, 64, 29, adhocgrid.CaseA)
-	res, err := adhocgrid.RunSLRH(inst, adhocgrid.SLRH1, adhocgrid.NewWeights(0.5, 0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := adhocgrid.Execute(res.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Completed != res.Metrics.Mapped {
-		t.Fatalf("executed %d, mapped %d", stats.Completed, res.Metrics.Mapped)
-	}
-	if len(adhocgrid.EventLog(res.State)) == 0 {
-		t.Fatal("empty event log")
 	}
 }
 

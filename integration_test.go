@@ -6,7 +6,6 @@ import (
 	"adhocgrid"
 	"adhocgrid/internal/bound"
 	"adhocgrid/internal/exp"
-	"adhocgrid/internal/greedy"
 	"adhocgrid/internal/grid"
 	"adhocgrid/internal/lrnn"
 	"adhocgrid/internal/rng"
@@ -16,10 +15,12 @@ import (
 )
 
 // TestIntegrationAllHeuristicsAllCases is the adversarial end-to-end
-// sweep: every mapper in the repository, on several seeds and every grid
-// configuration, must produce a schedule that (a) passes the record-based
-// verifier, (b) passes the event-driven executor, (c) never exceeds the
-// §VI upper bound on T100, and (d) respects the τ guard.
+// sweep: every mapper in the repository (SLRH-1/2/3, Max-Max and LRNN),
+// on several seeds and every grid configuration, must produce a schedule
+// that (a) passes the record-based verifier, which also finds
+// overlapping executions, sends and receives on a machine and any work
+// past a machine loss, (b) never exceeds the §VI upper bound on T100,
+// and (c) respects the τ guard.
 func TestIntegrationAllHeuristicsAllCases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep in -short mode")
@@ -71,20 +72,6 @@ func TestIntegrationAllHeuristicsAllCases(t *testing.T) {
 			}
 			return r.State, r.Metrics, nil
 		},
-		"MCT": func(inst *workload.Instance) (*sched.State, sched.Metrics, error) {
-			r, err := greedy.MCT(inst)
-			if err != nil {
-				return nil, sched.Metrics{}, err
-			}
-			return r.State, r.Metrics, nil
-		},
-		"Min-Min": func(inst *workload.Instance) (*sched.State, sched.Metrics, error) {
-			r, err := greedy.MinMin(inst)
-			if err != nil {
-				return nil, sched.Metrics{}, err
-			}
-			return r.State, r.Metrics, nil
-		},
 	}
 	for seed := uint64(100); seed < 103; seed++ {
 		scn, err := workload.Generate(workload.DefaultParams(96), rng.New(seed))
@@ -104,9 +91,6 @@ func TestIntegrationAllHeuristicsAllCases(t *testing.T) {
 				}
 				if v := sim.Verify(st); len(v) != 0 {
 					t.Fatalf("seed %d case %v %s: verifier: %v", seed, c, name, v)
-				}
-				if _, err := sim.Execute(st); err != nil {
-					t.Fatalf("seed %d case %v %s: executor: %v", seed, c, name, err)
 				}
 				if m.T100 > bnd {
 					t.Fatalf("seed %d case %v %s: T100 %d exceeds bound %d",

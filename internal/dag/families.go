@@ -124,50 +124,3 @@ func GenerateForkJoin(n, width int, r *rng.Rand) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// TransitiveReduction returns a copy of g with every edge (p, c) removed
-// when c is reachable from p through another path. The reduction has the
-// same precedence semantics with the minimum number of data items.
-func TransitiveReduction(g *Graph) (*Graph, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	red := NewGraph(g.N())
-	// reach[v] marks, per candidate edge test, nodes reachable from a
-	// parent without using the direct edge.
-	for _, p := range order {
-		children := g.Children(p)
-		if len(children) == 0 {
-			continue
-		}
-		// BFS from every child of p through the original graph; an edge
-		// p -> c is redundant iff c is reachable from another child.
-		reachable := make(map[int]bool)
-		var stack []int
-		for _, c := range children {
-			for _, gc := range g.Children(c) {
-				stack = append(stack, gc)
-			}
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if reachable[v] {
-				continue
-			}
-			reachable[v] = true
-			for _, c := range g.Children(v) {
-				stack = append(stack, c)
-			}
-		}
-		for _, c := range children {
-			if !reachable[c] {
-				if err := red.AddEdge(p, c); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return red, nil
-}

@@ -107,68 +107,3 @@ func TestGenerateForkJoinWidthOne(t *testing.T) {
 		t.Fatalf("chain depth = %d, want 10", d)
 	}
 }
-
-func TestTransitiveReduction(t *testing.T) {
-	// Triangle 0->1, 1->2, 0->2: the direct 0->2 edge is redundant.
-	g := NewGraph(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	red, err := TransitiveReduction(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.Edges() != 2 {
-		t.Fatalf("reduction kept %d edges", red.Edges())
-	}
-	if red.HasEdge(0, 2) {
-		t.Fatal("redundant edge survived")
-	}
-	if !red.HasEdge(0, 1) || !red.HasEdge(1, 2) {
-		t.Fatal("necessary edges removed")
-	}
-}
-
-func TestTransitiveReductionPreservesReachability(t *testing.T) {
-	g, err := Generate(DefaultGenParams(128), rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := TransitiveReduction(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.Edges() > g.Edges() {
-		t.Fatal("reduction added edges")
-	}
-	// Reachability sets must be identical.
-	for i := 0; i < g.N(); i++ {
-		a, b := g.Descendants(i), red.Descendants(i)
-		if len(a) != len(b) {
-			t.Fatalf("subtask %d: %d vs %d descendants", i, len(a), len(b))
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("subtask %d: descendant sets differ", i)
-			}
-		}
-	}
-}
-
-func TestTransitiveReductionIdempotent(t *testing.T) {
-	g, err := Generate(DefaultGenParams(64), rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := TransitiveReduction(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := TransitiveReduction(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Edges() != r2.Edges() {
-		t.Fatalf("reduction not idempotent: %d vs %d edges", r1.Edges(), r2.Edges())
-	}
-}

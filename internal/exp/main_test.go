@@ -7,7 +7,7 @@ import (
 	"adhocgrid/internal/leakcheck"
 )
 
-// TestMain verifies no experiment worker (pool goroutines, fault
+// TestMain verifies no experiment worker (par.Map goroutines, fault
 // injectors) outlives the suite.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))

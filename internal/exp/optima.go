@@ -106,15 +106,3 @@ func (e *Env) Optima(h Heuristic, c grid.Case) []Optimum {
 	e.mu.Unlock()
 	return out
 }
-
-// FoundCount returns how many scenarios of the optima set admitted a
-// feasible mapping.
-func FoundCount(os []Optimum) int {
-	n := 0
-	for _, o := range os {
-		if o.Found {
-			n++
-		}
-	}
-	return n
-}

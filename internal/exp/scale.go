@@ -73,11 +73,6 @@ func (s Scale) Validate() error {
 // Scenarios returns the number of ETC x DAG combinations.
 func (s Scale) Scenarios() int { return s.NumETC * s.NumDAG }
 
-// workers resolves the worker count.
-func (s Scale) workers() int {
-	return par.Workers(s.Workers)
-}
-
 // Env is a generated experiment environment: the workload suite plus the
 // instantiated (case, scenario) instances, shared read-only by all
 // drivers, and a cache of per-heuristic weight optima.
@@ -147,8 +142,8 @@ func (e *Env) Instances(c grid.Case) []*workload.Instance {
 }
 
 // parMap applies fn to every index in [0, n) using the environment's
-// worker budget (see pool.go). fn must write only to its own index's
+// worker budget (par.Map). fn must write only to its own index's
 // output.
 func (e *Env) parMap(n int, fn func(k int)) {
-	ParMap(e.Scale.workers(), n, fn)
+	par.Map(par.Workers(e.Scale.Workers), n, fn)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"adhocgrid/internal/serve"
@@ -159,11 +160,11 @@ func TestFleetCapacityMerge(t *testing.T) {
 // sum, meeting_backends counts backends that individually meet the
 // class target, and the query string reaches every backend.
 func TestFleetCapacityFocusedAnswer(t *testing.T) {
-	sawQuery := 0
+	var sawQuery atomic.Int32 // the router queries both backends concurrently
 	answer := func(meets bool, rate float64) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Query().Get("heuristic") == "slrh1" {
-				sawQuery++
+				sawQuery.Add(1)
 			}
 			rep := serve.CapacityReport{
 				Workers: 2,
@@ -201,8 +202,8 @@ func TestFleetCapacityFocusedAnswer(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("focused fleet capacity: status %d", code)
 	}
-	if sawQuery != 2 {
-		t.Fatalf("query string reached %d backends, want both", sawQuery)
+	if got := sawQuery.Load(); got != 2 {
+		t.Fatalf("query string reached %d backends, want both", got)
 	}
 	a := rep.Answer
 	if a == nil {

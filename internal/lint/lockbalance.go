@@ -7,9 +7,10 @@ import (
 )
 
 // Lockbalance proves mutex discipline on every path through the
-// concurrency-bearing packages (internal/serve, internal/exp,
-// internal/par). Using the flow engine's path-sensitive interpreter it
-// checks, per function:
+// concurrency-bearing packages (ConcurrencyPackages: the service and
+// its run pool, the core's arena free-list, the harness's optima dedup,
+// the fabric and chaos tiers). Using the flow engine's path-sensitive
+// interpreter it checks, per function:
 //
 //   - every sync.Mutex/RWMutex Lock (RLock) is released on every exit
 //     path, either by a defer or by an explicit Unlock before each

@@ -43,10 +43,11 @@ var ErrorHygienePackages = []string{
 }
 
 // ConcurrencyPackages carry the module's lock-based concurrency: the
-// service's flight coalescing and admission accounting, the scheduler
-// core's arena free-list, the priority worker pool, the parallel-map
-// primitive, and the fabric tier's health view and batch windows.
-// lockbalance and pairwise prove their invariants path-by-path.
+// service's flight coalescing, admission accounting and priority run
+// pool, the scheduler core's arena free-list, the experiment harness's
+// in-flight optima dedup, the parallel-map primitive, and the fabric
+// tier's health view and batch windows. lockbalance and pairwise prove
+// their invariants path-by-path.
 var ConcurrencyPackages = []string{
 	"adhocgrid/internal/serve",
 	"adhocgrid/internal/core",

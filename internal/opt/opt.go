@@ -6,7 +6,7 @@
 // maximizes T100.
 //
 // The search is embarrassingly parallel across grid points; evaluation
-// fans out over a bounded worker pool and the winner is selected with a
+// fans out through par.Map and the winner is selected with a
 // deterministic comparator so results are independent of scheduling order.
 package opt
 
@@ -14,9 +14,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
+	"adhocgrid/internal/par"
 	"adhocgrid/internal/sched"
 )
 
@@ -135,40 +134,15 @@ func better(x, y Point) bool {
 	return x.Weights.Beta < y.Weights.Beta
 }
 
-// evaluate runs the runner over every point with bounded parallelism,
-// returning results in input order.
+// evaluate runs the runner over every point with bounded parallelism
+// (par.Map), returning results in input order: each point writes only
+// its own output slot.
 func evaluate(run RunnerFunc, ws []sched.Weights, workers int) []Point {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ws) {
-		workers = len(ws)
-	}
 	out := make([]Point, len(ws))
-	if workers <= 1 {
-		for k, w := range ws {
-			m, err := run(w)
-			out[k] = Point{Weights: w, Metrics: m, Err: err}
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				m, err := run(ws[k])
-				out[k] = Point{Weights: ws[k], Metrics: m, Err: err}
-			}
-		}()
-	}
-	for k := range ws {
-		next <- k
-	}
-	close(next)
-	wg.Wait()
+	par.Map(par.Workers(workers), len(ws), func(k int) {
+		m, err := run(ws[k])
+		out[k] = Point{Weights: ws[k], Metrics: m, Err: err}
+	})
 	return out
 }
 

@@ -1,6 +1,7 @@
 // Package par holds the dependency-free parallel-map primitive behind
-// the experiment harness (internal/exp). It imports nothing from the
-// module, so any package can fan out without an import cycle.
+// the experiment harness (internal/exp) and the weight search
+// (internal/opt). It imports nothing from the module, so any package
+// can fan out without an import cycle.
 //
 // Determinism contract: Map distributes a fixed index space over a
 // bounded worker set, and every task writes only to its own output

@@ -138,15 +138,9 @@ type Verdict struct {
 	Reason  string // why the check was vacuous, or what it measured
 }
 
-// Check validates a fresh report's expectations: every capped benchmark
-// must be within its allocs/op budget. Use CheckVerdict to distinguish a
+// CheckVerdict validates a fresh report's expectations: every capped
+// benchmark must be within its allocs/op budget. The verdict tells a
 // vacuous pass from a measured one.
-func Check(r *Report) error {
-	_, err := CheckVerdict(r)
-	return err
-}
-
-// CheckVerdict is Check with the vacuity made explicit.
 func CheckVerdict(r *Report) (Verdict, error) {
 	var errs []string
 	capped := 0

@@ -267,7 +267,7 @@ func admissionBench() func() (func(), func() []Metric, error) {
 func suite() []benchmark {
 	return []benchmark{
 		{name: "slrh1_serial_n256", iters: 30, shortIters: 5, setup: slrhBench(256)},
-		{name: "slrh1_serial_n1024", iters: 8, shortIters: 4, setup: slrhBench(1024)},
+		{name: "slrh1_serial_n1024", iters: 20, shortIters: 4, setup: slrhBench(1024)},
 		{name: "maxmax_n256", iters: 30, shortIters: 5, setup: maxmaxBench(256)},
 		{name: "slrhd_map_n96", iters: 40, shortIters: 6, setup: slrhdBench(96)},
 		{name: "fabric_router_overhead", iters: 40, shortIters: 6, setup: fabricRouterBench(96)},

@@ -1,40 +1,17 @@
-// Bounded worker pools (DESIGN.md §5). Two shapes share this file:
-//
-//   - ParMap, the sweep fan-out used by every experiment driver: a fixed
-//     index space [0, n) distributed over a bounded set of workers, each
-//     task writing only to its own output slot. Per-task seeded RNGs make
-//     results independent of execution order.
-//   - Pool, the long-running variant behind the slrhd scheduling service
-//     (internal/serve): a fixed set of workers draining a bounded,
-//     priority-banded job queue, with non-blocking admission (TrySubmit /
-//     TrySubmitPriority) so callers can shed load instead of queueing
-//     unboundedly, and a drain-on-close guarantee (Close runs every
-//     accepted job before returning).
-package exp
+package serve
 
-import (
-	"sync"
+import "sync"
 
-	"adhocgrid/internal/par"
-)
-
-// ParMap applies fn to every index in [0, n) using at most `workers`
-// concurrent goroutines (a non-positive count means sequential). fn must
-// write only to its own index's output. The implementation lives in
-// internal/par.
-func ParMap(workers, n int, fn func(k int)) {
-	par.Map(workers, n, fn)
-}
-
-// Pool is a bounded worker pool: `workers` goroutines draining a job
-// queue of capacity `queueCap`, split into priority bands. Admission is
-// explicit — TrySubmit fails fast when the queue is full — so a caller
-// under pressure can return backpressure (HTTP 429) instead of
-// blocking. Workers always take the oldest job of the highest-priority
+// runPool is the bounded worker pool that runs the service's map jobs
+// (DESIGN.md §5): `workers` goroutines draining a job queue of capacity
+// `queueCap`, split into priority bands. Admission is explicit —
+// TrySubmit fails fast when the queue is full — so a caller under
+// pressure can return backpressure (HTTP 429) instead of blocking.
+// Workers always take the oldest job of the highest-priority
 // (lowest-numbered) non-empty band, so a latency-sensitive submission
 // overtakes queued bulk work without preempting anything already
-// running.
-type Pool struct {
+// running. Close runs every accepted job before returning.
+type runPool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	bands  [][]func() // bands[p] is the FIFO queue of priority p
@@ -45,19 +22,12 @@ type Pool struct {
 	wg     sync.WaitGroup
 }
 
-// NewPool starts a single-band pool with the given worker count and
-// queue capacity. Non-positive values are clamped to 1 worker / 0 queue
-// slots (every submission then requires an idle worker).
-func NewPool(workers, queueCap int) *Pool {
-	return NewPriorityPool(workers, queueCap, 1)
-}
-
-// NewPriorityPool starts a pool whose queue is split into `bands`
-// priority levels, 0 the most urgent. Worker count and band count are
-// clamped to at least 1, queue capacity to at least 0; the capacity is
-// shared across bands (a full queue sheds every priority — priorities
-// order service, they do not reserve slots).
-func NewPriorityPool(workers, queueCap, bands int) *Pool {
+// newRunPool starts a pool whose queue is split into `bands` priority
+// levels, 0 the most urgent. Worker count and band count are clamped to
+// at least 1, queue capacity to at least 0; the capacity is shared
+// across bands (a full queue sheds every priority — priorities order
+// service, they do not reserve slots).
+func newRunPool(workers, queueCap, bands int) *runPool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -67,7 +37,7 @@ func NewPriorityPool(workers, queueCap, bands int) *Pool {
 	if bands < 1 {
 		bands = 1
 	}
-	p := &Pool{bands: make([][]func(), bands), cap: queueCap}
+	p := &runPool{bands: make([][]func(), bands), cap: queueCap}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for g := 0; g < workers; g++ {
@@ -78,7 +48,7 @@ func NewPriorityPool(workers, queueCap, bands int) *Pool {
 
 // work is one worker: take the best queued job, run it, repeat; exit
 // once the pool is closed and the queue is drained.
-func (p *Pool) work() {
+func (p *runPool) work() {
 	defer p.wg.Done()
 	p.mu.Lock()
 	for {
@@ -100,7 +70,7 @@ func (p *Pool) work() {
 
 // pop removes the oldest job of the highest-priority non-empty band.
 // Callers must hold p.mu.
-func (p *Pool) pop() func() {
+func (p *runPool) pop() func() {
 	for b := range p.bands {
 		if q := p.bands[b]; len(q) > 0 {
 			job := q[0]
@@ -115,7 +85,7 @@ func (p *Pool) pop() func() {
 // TrySubmit enqueues job at the highest priority if a slot is free. It
 // returns false — without blocking — when the queue is full or the pool
 // is closed.
-func (p *Pool) TrySubmit(job func()) bool {
+func (p *runPool) TrySubmit(job func()) bool {
 	return p.TrySubmitPriority(job, 0)
 }
 
@@ -124,7 +94,7 @@ func (p *Pool) TrySubmit(job func()) bool {
 // replaces, an idle worker counts as a free slot, so a zero-capacity
 // pool still accepts work whenever a worker is parked. Returns false
 // when no slot is free or the pool is closed.
-func (p *Pool) TrySubmitPriority(job func(), priority int) bool {
+func (p *runPool) TrySubmitPriority(job func(), priority int) bool {
 	if priority < 0 {
 		priority = 0
 	}
@@ -144,7 +114,7 @@ func (p *Pool) TrySubmitPriority(job func(), priority int) bool {
 
 // Depth returns the number of jobs accepted but not yet picked up by a
 // worker, across all priority bands.
-func (p *Pool) Depth() int {
+func (p *runPool) Depth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.queued
@@ -152,7 +122,7 @@ func (p *Pool) Depth() int {
 
 // Close stops admission, runs every job already accepted, and waits for
 // the workers to exit. Safe to call more than once.
-func (p *Pool) Close() {
+func (p *runPool) Close() {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true

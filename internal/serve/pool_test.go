@@ -1,4 +1,4 @@
-package exp
+package serve
 
 import (
 	"runtime"
@@ -7,21 +7,8 @@ import (
 	"testing"
 )
 
-func TestParMapCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		const n = 57
-		var hits [n]atomic.Int32
-		ParMap(workers, n, func(k int) { hits[k].Add(1) })
-		for k := range hits {
-			if got := hits[k].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, k, got)
-			}
-		}
-	}
-}
-
 func TestPoolTrySubmitShedsOnFullQueue(t *testing.T) {
-	p := NewPool(1, 1)
+	p := newRunPool(1, 1, 1)
 	defer p.Close()
 	release := make(chan struct{})
 	if !p.TrySubmit(func() { <-release }) {
@@ -41,7 +28,7 @@ func TestPoolTrySubmitShedsOnFullQueue(t *testing.T) {
 }
 
 func TestPoolCloseDrainsAcceptedJobs(t *testing.T) {
-	p := NewPool(2, 16)
+	p := newRunPool(2, 16, 1)
 	var ran atomic.Int32
 	accepted := 0
 	for k := 0; k < 16; k++ {
@@ -63,7 +50,7 @@ func TestPoolCloseDrainsAcceptedJobs(t *testing.T) {
 // pinned worker and checks the drain order: every band-0 job before
 // every band-1 job before every band-2 job, FIFO within a band.
 func TestPriorityPoolServiceOrder(t *testing.T) {
-	p := NewPriorityPool(1, 9, 3)
+	p := newRunPool(1, 9, 3)
 	defer p.Close()
 	release := make(chan struct{})
 	for !p.TrySubmit(func() { <-release }) {
@@ -103,7 +90,7 @@ func TestPriorityPoolServiceOrder(t *testing.T) {
 // TestPriorityPoolClampsOutOfRangeBands routes out-of-range priorities
 // to the nearest band instead of panicking.
 func TestPriorityPoolClampsOutOfRangeBands(t *testing.T) {
-	p := NewPriorityPool(1, 4, 2)
+	p := newRunPool(1, 4, 2)
 	var ran atomic.Int32
 	if !p.TrySubmitPriority(func() { ran.Add(1) }, -5) {
 		t.Fatal("negative priority refused")
@@ -121,7 +108,7 @@ func TestPriorityPoolClampsOutOfRangeBands(t *testing.T) {
 // whenever a worker is idle (the unbuffered-channel handoff semantics
 // the priority pool preserves) and sheds when all workers are busy.
 func TestPoolZeroCapacityHandoff(t *testing.T) {
-	p := NewPool(1, 0)
+	p := newRunPool(1, 0, 1)
 	defer p.Close()
 	release := make(chan struct{})
 	for !p.TrySubmit(func() { <-release }) {

@@ -1,9 +1,9 @@
 // Package serve is the slrhd scheduling service: an HTTP/JSON front end
 // over the SLRH heuristics (internal/core) and the Max-Max baseline.
-// It prices and maps scenarios on demand with bounded concurrency
-// (internal/exp.Pool), explicit admission control (429 + Retry-After on
-// queue overflow), a deterministic result cache, and a dependency-free
-// Prometheus-text observability layer. See DESIGN.md §12.
+// It prices and maps scenarios on demand with bounded concurrency (the
+// priority run pool in pool.go), explicit admission control (429 +
+// Retry-After on queue overflow), a deterministic result cache, and a
+// dependency-free Prometheus-text observability layer. See DESIGN.md §12.
 //
 // Determinism contract: a request fully determines its response bytes.
 // Workloads are generated from the request seed (per-task seeded RNG),

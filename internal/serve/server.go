@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"adhocgrid/internal/core"
-	"adhocgrid/internal/exp"
 )
 
 // Config sizes the service. Zero values select the defaults noted per
@@ -131,7 +130,7 @@ const (
 // behind them.
 type Server struct {
 	cfg       Config
-	pool      *exp.Pool
+	pool      *runPool
 	cache     *Cache
 	runs      *RunStore
 	reg       *Registry
@@ -171,7 +170,7 @@ func New(cfg Config) *Server {
 	model := NewCostModel()
 	s := &Server{
 		cfg:       cfg,
-		pool:      exp.NewPriorityPool(cfg.Workers, cfg.QueueSize, priorityBands(cfg.Classes)),
+		pool:      newRunPool(cfg.Workers, cfg.QueueSize, priorityBands(cfg.Classes)),
 		cache:     NewCache(cfg.CacheSize),
 		runs:      NewRunStore(cfg.RunHistory),
 		reg:       NewRegistry(),

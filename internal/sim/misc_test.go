@@ -1,75 +1,18 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"adhocgrid/internal/grid"
+	"adhocgrid/internal/rng"
+	"adhocgrid/internal/sched"
+	"adhocgrid/internal/workload"
 )
 
 func TestViolationString(t *testing.T) {
 	v := Violation{Kind: "energy", Detail: "machine 2 overdrawn"}
 	if got := v.String(); got != "energy: machine 2 overdrawn" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	want := map[EventKind]string{
-		ExecStart:     "exec-start",
-		ExecEnd:       "exec-end",
-		TransferStart: "xfer-start",
-		TransferEnd:   "xfer-end",
-		MachineLost:   "machine-lost",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d = %q, want %q", int(k), k.String(), s)
-		}
-	}
-	if !strings.Contains(EventKind(99).String(), "99") {
-		t.Error("unknown kind string")
-	}
-}
-
-func TestEventString(t *testing.T) {
-	e := Event{Cycle: 100, Kind: ExecStart, Subtask: 7, Machine: 2, Peer: -1}
-	if !strings.Contains(e.String(), "subtask 7") {
-		t.Fatalf("event string %q", e.String())
-	}
-	tr := Event{Cycle: 50, Kind: TransferEnd, Subtask: 3, Machine: 0, Peer: 1}
-	if !strings.Contains(tr.String(), "0->1") {
-		t.Fatalf("transfer string %q", tr.String())
-	}
-	lost := Event{Cycle: 10, Kind: MachineLost, Subtask: -1, Machine: 3, Peer: -1}
-	if !strings.Contains(lost.String(), "machine 3") {
-		t.Fatalf("loss string %q", lost.String())
-	}
-}
-
-func TestUtilizationEmptySchedule(t *testing.T) {
-	st := newEmptyState(t)
-	u := Utilization(st)
-	for _, f := range u {
-		if f != 0 {
-			t.Fatalf("empty schedule utilization %v", f)
-		}
-	}
-}
-
-func TestEventLogIncludesLoss(t *testing.T) {
-	st := buildGreedy(t, 48, 31, grid.CaseA)
-	if _, err := st.LoseMachine(3, st.AETCycles/3); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range EventLog(st) {
-		if e.Kind == MachineLost && e.Machine == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("loss event missing from log")
 	}
 }
 
@@ -159,4 +102,19 @@ func TestCriticalChainEmpty(t *testing.T) {
 	if chain := CriticalChain(newEmptyState(t)); chain != nil {
 		t.Fatalf("empty schedule gave chain %v", chain)
 	}
+}
+
+// newEmptyState builds a fresh unmapped state for edge cases.
+func newEmptyState(t *testing.T) *sched.State {
+	t.Helper()
+	p := workload.DefaultParams(8)
+	s, err := workload.Generate(p, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Instantiate(grid.CaseA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched.NewState(inst, sched.NewWeights(0.5, 0.3))
 }

@@ -165,46 +165,6 @@ func TestVerifyCompleteFlagsPartial(t *testing.T) {
 	}
 }
 
-func TestEventLogOrderedAndPaired(t *testing.T) {
-	st := buildGreedy(t, 64, 6, grid.CaseB)
-	events := EventLog(st)
-	if len(events) == 0 {
-		t.Fatal("no events")
-	}
-	starts := map[int]int{}
-	for k := 1; k < len(events); k++ {
-		if events[k].Cycle < events[k-1].Cycle {
-			t.Fatal("event log not chronological")
-		}
-	}
-	for _, e := range events {
-		switch e.Kind {
-		case ExecStart:
-			starts[e.Subtask]++
-		case ExecEnd:
-			starts[e.Subtask]--
-		}
-	}
-	for i, c := range starts {
-		if c != 0 {
-			t.Fatalf("subtask %d has unbalanced exec events (%d)", i, c)
-		}
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	st := buildGreedy(t, 96, 7, grid.CaseA)
-	u := Utilization(st)
-	if len(u) != st.Inst.Grid.M() {
-		t.Fatalf("utilization entries = %d", len(u))
-	}
-	for j, f := range u {
-		if f < 0 || f > 1 {
-			t.Fatalf("machine %d utilization %v out of [0,1]", j, f)
-		}
-	}
-}
-
 func TestLoseMachineUnwindsAndStaysValid(t *testing.T) {
 	st := buildGreedy(t, 96, 8, grid.CaseA)
 	// Lose machine 1 halfway through the schedule.

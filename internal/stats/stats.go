@@ -51,9 +51,6 @@ func SampleVariance(xs []float64) float64 {
 	return sum / float64(len(xs)-1)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // SampleStdDev returns the sample (n-1) standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
@@ -134,13 +131,4 @@ func (s Summary) String() string {
 // average with min–max bar.
 func (s Summary) RangeString() string {
 	return fmt.Sprintf("%.2f [%.2f, %.2f]", s.Mean, s.Min, s.Max)
-}
-
-// FromInts converts an int slice to float64 for aggregation.
-func FromInts(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

@@ -31,9 +31,6 @@ func TestVariance(t *testing.T) {
 	if got := Variance(xs); !approx(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); !approx(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 	if Variance([]float64{3}) != 0 {
 		t.Error("Variance of singleton should be 0")
 	}
@@ -103,13 +100,6 @@ func TestSummaryStrings(t *testing.T) {
 	}
 	if got := s.RangeString(); got != "1.65 [1.20, 2.10]" {
 		t.Errorf("RangeString = %q", got)
-	}
-}
-
-func TestFromInts(t *testing.T) {
-	got := FromInts([]int{1, 2, 3})
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("FromInts = %v", got)
 	}
 }
 
