@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-fix-hints lint-json lint-vet test loc race check bench bench-json bench-check bench-compare bench-vet fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
+.PHONY: all build vet fmt-check lint lint-fix-hints lint-json lint-vet test loc loc-diff race check bench bench-json bench-check bench-compare bench-vet fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
 
 all: check
 
@@ -49,15 +49,36 @@ lint-vet:
 test:
 	$(GO) test ./...
 
+# Non-test Go lines per package of the module in the current directory,
+# one "lines import/path" row each.
+LOC_ROWS = $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done
+
 # Non-test Go lines per root-module package, plus the total: the code-
 # size figure tracked next to the BENCH numbers (a change that removes
 # lines at equal bytes and equal speed is a win).
 loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
-	while read -r pkg files; do \
-		[ -n "$$files" ] || continue; \
-		printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
-	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+	@$(LOC_ROWS) | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+
+# The same figure at REV and in the working tree, with the change per
+# package: make loc-diff REV=<rev>. REV is exported from the local
+# repository with git archive into a temporary directory (no network),
+# so any commit-ish works, FETCH_HEAD included.
+REV ?=
+loc-diff:
+	@[ -n "$(REV)" ] || { echo "usage: make loc-diff REV=<rev>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive --format=tar "$(REV)" | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && $(LOC_ROWS)) > "$$tmp/loc.rev" && \
+	$(LOC_ROWS) > "$$tmp/loc.tree" && \
+	printf '%6s %6s %6s %s\n' rev tree change package && \
+	awk 'FNR == NR { rev[$$2] = $$1; seen[$$2] = 1; next } { tree[$$2] = $$1; seen[$$2] = 1 } \
+		END { for (p in seen) printf "%6d %6d %+6d %s\n", rev[p], tree[p], tree[p] - rev[p], p }' \
+		"$$tmp/loc.rev" "$$tmp/loc.tree" | sort -k4 | \
+	awk '{ print; r += $$1; t += $$2 } END { printf "%6d %6d %+6d total\n", r, t, t - r }'
 
 race:
 	$(GO) test -race ./...

@@ -128,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Faults = plan
 		var rec *trace.Recorder
 		if *traceFile != "" {
-			rec = trace.NewRecorder(1)
+			rec = trace.NewRecorder()
 			cfg.Observer = rec.Observe
 		}
 		res, err := core.Run(inst, cfg)

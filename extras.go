@@ -22,11 +22,11 @@ type ScheduleExport = sched.Export
 func ExportSchedule(s *Schedule) ScheduleExport { return s.Export() }
 
 // Recorder collects per-timestep snapshots of an SLRH run; install its
-// Observe method as Config.Observer and export with WriteCSV/WriteJSON.
+// Observe method as Config.Observer and export with WriteCSV.
 type Recorder = trace.Recorder
 
-// NewRecorder returns a recorder keeping every `every`-th snapshot.
-func NewRecorder(every int) *Recorder { return trace.NewRecorder(every) }
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return trace.NewRecorder() }
 
 // WriteAssignmentsCSV emits a schedule's final mapping as CSV.
 func WriteAssignmentsCSV(w io.Writer, s *Schedule) error {

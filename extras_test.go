@@ -26,7 +26,7 @@ func TestPublicGanttAndExport(t *testing.T) {
 
 func TestPublicRecorderAndCSV(t *testing.T) {
 	inst := exampleInstance(t, 48, 27, adhocgrid.CaseA)
-	rec := adhocgrid.NewRecorder(1)
+	rec := adhocgrid.NewRecorder()
 	cfg := adhocgrid.DefaultConfig(adhocgrid.SLRH1, adhocgrid.NewWeights(0.5, 0.3))
 	cfg.Observer = rec.Observe
 	res, err := adhocgrid.RunSLRHConfig(inst, cfg)
@@ -84,31 +84,6 @@ func TestPublicCriticalChain(t *testing.T) {
 	}
 	if got := adhocgrid.CycleSeconds * float64(chain[len(chain)-1].End); got != res.Metrics.AETSeconds {
 		t.Fatalf("chain end %v != AET %v", got, res.Metrics.AETSeconds)
-	}
-}
-
-func TestPublicWeightSurface(t *testing.T) {
-	inst := exampleInstance(t, 48, 35, adhocgrid.CaseA)
-	points, err := adhocgrid.WeightSurface(func(w adhocgrid.Weights) (adhocgrid.Metrics, error) {
-		r, err := adhocgrid.RunSLRH(inst, adhocgrid.SLRH1, w)
-		if err != nil {
-			return adhocgrid.Metrics{}, err
-		}
-		return r.Metrics, nil
-	}, 0.25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simplex at step 0.25: sum_{a=0..4}(5-a) = 15 points.
-	if len(points) != 15 {
-		t.Fatalf("surface points = %d", len(points))
-	}
-	var buf bytes.Buffer
-	if err := adhocgrid.WriteSurfaceCSV(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 16 {
-		t.Fatalf("CSV lines = %d", lines)
 	}
 }
 

@@ -5,8 +5,8 @@
 // [ShC04], whose parameters are not published; this package provides a
 // seeded layered random generator with equivalent knobs (see generate.go
 // and DESIGN.md substitution D1), plus the structural operations the
-// heuristics and validators need: validation, topological order, level
-// assignment, critical-path length, and ancestor/descendant queries.
+// heuristics and validators need: validation, topological order and
+// level assignment.
 package dag
 
 import (
@@ -218,65 +218,6 @@ func (g *Graph) Depth() (int, error) {
 		}
 	}
 	return maxLv + 1, nil
-}
-
-// CriticalPath returns the maximum, over all root-to-sink paths, of the sum
-// of weight(i) along the path. Weights are supplied per subtask (e.g. the
-// minimum execution time of each subtask); communication is not included.
-// Returns ErrCycle on a cyclic graph.
-func (g *Graph) CriticalPath(weight func(i int) float64) (float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0, err
-	}
-	longest := make([]float64, g.n)
-	best := 0.0
-	for _, v := range order {
-		in := 0.0
-		for _, p := range g.parents[v] {
-			if longest[p] > in {
-				in = longest[p]
-			}
-		}
-		longest[v] = in + weight(v)
-		if longest[v] > best {
-			best = longest[v]
-		}
-	}
-	return best, nil
-}
-
-// Descendants returns the set of subtasks reachable from i (excluding i),
-// in increasing order.
-func (g *Graph) Descendants(i int) []int {
-	seen := make([]bool, g.n)
-	stack := append([]int(nil), g.children[i]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		stack = append(stack, g.children[v]...)
-	}
-	var out []int
-	for v, s := range seen {
-		if s {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for i := 0; i < g.n; i++ {
-		c.parents[i] = append([]int(nil), g.parents[i]...)
-		c.children[i] = append([]int(nil), g.children[i]...)
-	}
-	return c
 }
 
 // intHeap is a minimal min-heap of ints (by value) used by TopoOrder.

@@ -135,41 +135,6 @@ func TestLevelsAndDepth(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	g := mustDiamond(t)
-	weights := []float64{1, 10, 2, 5}
-	cp, err := g.CriticalPath(func(i int) float64 { return weights[i] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != 16 { // 0 -> 1 -> 3 = 1+10+5
-		t.Fatalf("CriticalPath = %v, want 16", cp)
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	g := mustDiamond(t)
-	d := g.Descendants(0)
-	if len(d) != 3 || d[0] != 1 || d[1] != 2 || d[2] != 3 {
-		t.Fatalf("Descendants(0) = %v", d)
-	}
-	if d := g.Descendants(3); len(d) != 0 {
-		t.Fatalf("Descendants(3) = %v", d)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := mustDiamond(t)
-	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("Clone shares storage with original")
-	}
-	if !c.HasEdge(1, 2) {
-		t.Fatal("Clone missing added edge")
-	}
-}
-
 func TestGenerateStructure(t *testing.T) {
 	for _, n := range []int{1, 2, 16, 128, 1024} {
 		p := DefaultGenParams(n)

@@ -122,20 +122,6 @@ func Generate(p Params, g *grid.Grid, r *rng.Rand) (*Matrix, error) {
 	return mat, nil
 }
 
-// GenerateSuite builds `count` independent ETC matrices (the paper uses
-// ten), each from a seed derived from the base generator.
-func GenerateSuite(p Params, g *grid.Grid, count int, r *rng.Rand) ([]*Matrix, error) {
-	mats := make([]*Matrix, count)
-	for k := range mats {
-		m, err := Generate(p, g, r.Split())
-		if err != nil {
-			return nil, err
-		}
-		mats[k] = m
-	}
-	return mats, nil
-}
-
 // At returns ETC(i,j) in seconds.
 func (m *Matrix) At(i, j int) float64 { return m.Times[i][j] }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -48,7 +49,27 @@ type SweepSpec struct {
 	Class       string  `json:"class,omitempty"`
 }
 
-// Expand materializes the sweep's cross product.
+// Size returns how many requests Expand would produce, or limit+1 when
+// that is more than limit. The count saturates instead of multiplying
+// out, so axes whose product passes the cap (or the int range) are
+// measured without allocating anything.
+func (s *SweepSpec) Size(limit int) int {
+	limit = min(limit, math.MaxInt-1) // keep limit+1 representable
+	n := 1
+	for _, axis := range []int{len(s.Cases), len(s.Heuristics), len(s.Ns), len(s.Seeds)} {
+		if axis == 0 {
+			axis = 1 // an empty axis expands to its one default value
+		}
+		if n > limit/axis {
+			return limit + 1
+		}
+		n *= axis
+	}
+	return n
+}
+
+// Expand materializes the sweep's cross product. Check Size against a
+// cap first: a small body can name billions of requests.
 func (s *SweepSpec) Expand() []serve.Request {
 	heuristics := s.Heuristics
 	if len(heuristics) == 0 {
@@ -121,26 +142,29 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.jsonError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
-	var reqs []serve.Request
+	size := len(breq.Items)
 	switch {
 	case len(breq.Items) > 0 && breq.Sweep != nil:
 		count(rt.batchRequests, http.StatusBadRequest)
 		rt.jsonError(w, http.StatusBadRequest, "batch takes items or a sweep, not both")
 		return
 	case len(breq.Items) > 0:
-		reqs = breq.Items
 	case breq.Sweep != nil:
-		reqs = breq.Sweep.Expand()
+		size = breq.Sweep.Size(rt.cfg.MaxBatchItems)
 	default:
 		count(rt.batchRequests, http.StatusBadRequest)
 		rt.jsonError(w, http.StatusBadRequest, "empty batch: provide items or a sweep")
 		return
 	}
-	if len(reqs) > rt.cfg.MaxBatchItems {
+	if size > rt.cfg.MaxBatchItems {
 		count(rt.batchRequests, http.StatusBadRequest)
 		rt.jsonError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds the cap of %d", len(reqs), rt.cfg.MaxBatchItems))
+			fmt.Sprintf("batch exceeds the cap of %d items", rt.cfg.MaxBatchItems))
 		return
+	}
+	reqs := breq.Items
+	if breq.Sweep != nil {
+		reqs = breq.Sweep.Expand()
 	}
 
 	ctx := r.Context()

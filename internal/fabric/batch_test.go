@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"adhocgrid/internal/serve"
 )
@@ -62,6 +66,70 @@ func TestSweepExpandCarriesSharedKnobs(t *testing.T) {
 			!r.Adaptive || r.EnergyScale != 1.5 || r.Faults != "drop:2@3" || r.Class != "batch" {
 			t.Fatalf("expanded request %d dropped shared knobs: %+v", i, r)
 		}
+	}
+}
+
+// TestSweepSizeSaturates pins the pre-expansion count: exact up to the
+// limit, limit+1 past it, and no overflow when the axes multiply past
+// the int range. It never calls Expand.
+func TestSweepSizeSaturates(t *testing.T) {
+	axes := func(cases, heuristics, ns, seeds int) *SweepSpec {
+		return &SweepSpec{
+			Cases: make([]string, cases), Heuristics: make([]string, heuristics),
+			Ns: make([]int, ns), Seeds: make([]uint64, seeds),
+		}
+	}
+	cases := []struct {
+		name  string
+		spec  *SweepSpec
+		limit int
+		want  int
+	}{
+		{"defaults", axes(0, 0, 0, 0), 1024, 1},
+		{"batch_sweep shape", axes(1, 2, 2, 12), 1024, 48},
+		{"exactly the limit", axes(2, 2, 2, 2), 16, 16},
+		{"one past the limit", axes(17, 0, 0, 0), 16, 17},
+		{"paper sweep over the cap", axes(2, 2, 1, 50000), 1024, 1025},
+		{"four 100-value axes", axes(100, 100, 100, 100), 1024, 1025},
+		{"four 65536-value axes", axes(65536, 65536, 65536, 65536), 1024, 1025},
+		{"product past the int range", axes(65536, 65536, 65536, 65536), math.MaxInt, math.MaxInt},
+	}
+	for _, tc := range cases {
+		if got := tc.spec.Size(tc.limit); got != tc.want {
+			t.Errorf("%s: Size(%d) = %d, want %d", tc.name, tc.limit, got, tc.want)
+		}
+	}
+}
+
+// TestBatchSweepOverCapAllocatesLittle sends a 200,000-item sweep (a
+// ~290 KB body) and requires the 400 to come before expansion: the
+// expanded requests alone would take ~32 MB.
+func TestBatchSweepOverCapAllocatesLittle(t *testing.T) {
+	f := newTestFleet(t, 1, func(c *Config) { c.ProbeInterval = time.Hour })
+	seeds := make([]uint64, 50000)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	body, err := json.Marshal(BatchRequest{Sweep: &SweepSpec{
+		Cases: []string{"A", "B"}, Heuristics: []string{"slrh1", "maxmax"},
+		Ns: []int{64}, Seeds: seeds, Alpha: 0.5, Beta: 0.3,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := f.router.Handler()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/map/batch", bytes.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds the cap") {
+		t.Fatalf("status %d (%s), want 400 over the cap", rec.Code, rec.Body.String())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("rejecting a %d-byte sweep allocated %.1f MB; the cap must be checked before expansion",
+			len(body), float64(grew)/(1<<20))
 	}
 }
 

@@ -81,23 +81,6 @@ func (r *Ring) Add(backend string) {
 	})
 }
 
-// Remove deletes a member and its virtual nodes. Removing an absent
-// member is a no-op.
-func (r *Ring) Remove(backend string) {
-	i := sort.SearchStrings(r.members, backend)
-	if i >= len(r.members) || r.members[i] != backend {
-		return
-	}
-	r.members = append(r.members[:i], r.members[i+1:]...)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.backend != backend {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Members returns the sorted member list (shared backing array; do not
 // mutate).
 func (r *Ring) Members() []string { return r.members }

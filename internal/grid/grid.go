@@ -192,24 +192,6 @@ func (g *Grid) WorstCommTime(bits float64, i int) float64 {
 	return bits / bw
 }
 
-// Clone returns a deep copy of the grid.
-func (g *Grid) Clone() *Grid {
-	c := &Grid{Machines: append([]Machine(nil), g.Machines...)}
-	return c
-}
-
-// Remove returns a new grid with machine j removed (used by the dynamic
-// machine-loss extension). It panics if j is out of range.
-func (g *Grid) Remove(j int) *Grid {
-	if j < 0 || j >= len(g.Machines) {
-		panic(fmt.Sprintf("grid: Remove(%d) out of range", j))
-	}
-	c := &Grid{Machines: make([]Machine, 0, len(g.Machines)-1)}
-	c.Machines = append(c.Machines, g.Machines[:j]...)
-	c.Machines = append(c.Machines, g.Machines[j+1:]...)
-	return c
-}
-
 // EnergyLedger tracks remaining battery per machine during schedule
 // construction. The paper's assumptions (§III a): energy is consumed only
 // while computing (at E(j)) and while transmitting (at C(j)); idle and
@@ -295,9 +277,4 @@ func (l *EnergyLedger) Refund(j int, amount float64) {
 	}
 	l.remaining[j] += amount
 	l.version++
-}
-
-// Clone returns a deep copy of the ledger.
-func (l *EnergyLedger) Clone() *EnergyLedger {
-	return &EnergyLedger{remaining: append([]float64(nil), l.remaining...)}
 }

@@ -115,23 +115,6 @@ func TestWorstCommTime(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	g := ForCase(CaseA)
-	h := g.Remove(1) // drop second fast machine -> Case C layout
-	if h.M() != 3 || h.Machines[0].Class != Fast || h.Machines[1].Class != Slow {
-		t.Fatalf("Remove layout = %+v", h.Machines)
-	}
-	if g.M() != 4 {
-		t.Fatal("Remove mutated original")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Remove out of range did not panic")
-		}
-	}()
-	g.Remove(7)
-}
-
 func TestEnergyLedger(t *testing.T) {
 	g := ForCase(CaseB)
 	l := NewEnergyLedger(g)
@@ -159,16 +142,6 @@ func TestEnergyLedger(t *testing.T) {
 	}
 	if err := l.Charge(0, -1); err == nil {
 		t.Fatal("negative charge accepted")
-	}
-}
-
-func TestEnergyLedgerClone(t *testing.T) {
-	g := ForCase(CaseA)
-	l := NewEnergyLedger(g)
-	c := l.Clone()
-	l.Charge(0, 10)
-	if c.Remaining(0) != 580 {
-		t.Fatal("Clone shares storage")
 	}
 }
 

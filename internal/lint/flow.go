@@ -188,14 +188,6 @@ func runFlowBody(pass *Pass, hooks *flowHooks, body *ast.BlockStmt) {
 	}
 }
 
-// report buffers a finding; flushed only if the function is analyzed to
-// completion.
-func (fa *flowFunc) report(pos token.Pos, format string, args ...any) {
-	fa.reports = append(fa.reports, func() {
-		fa.pass.Reportf(pos, format, args...)
-	})
-}
-
 func (fa *flowFunc) execStmts(list []ast.Stmt, sts []balState) flowOut {
 	var out flowOut
 	cur := sts

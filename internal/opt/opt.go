@@ -11,9 +11,7 @@
 package opt
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 
 	"adhocgrid/internal/par"
 	"adhocgrid/internal/sched"
@@ -184,62 +182,4 @@ func Search(run RunnerFunc, opts Options) (Result, error) {
 	res.Metrics = best.Metrics
 	res.Found = best.Feasible()
 	return res, nil
-}
-
-// FeasibleSet returns the feasible points of a completed search that
-// achieve the maximum T100 — the set whose (α, β) spread the paper's
-// Figure 3 reports (average, minimum, maximum per parameter).
-func (r Result) FeasibleSet() []Point {
-	maxT100 := -1
-	for _, p := range r.Points {
-		if p.Feasible() && p.Metrics.T100 > maxT100 {
-			maxT100 = p.Metrics.T100
-		}
-	}
-	var out []Point
-	for _, p := range r.Points {
-		if p.Feasible() && p.Metrics.T100 == maxT100 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Surface evaluates the full coarse grid and returns every point in grid
-// order — the response surface behind the paper's Figure 3 sensitivity
-// discussion and the examples/weightsweep feasibility map.
-func Surface(run RunnerFunc, step float64, workers int) ([]Point, error) {
-	if run == nil {
-		return nil, fmt.Errorf("opt: nil runner")
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("opt: non-positive step %v", step)
-	}
-	return evaluate(run, GridPoints(step), workers), nil
-}
-
-// WriteSurfaceCSV emits a surface as alpha,beta,gamma,t100,mapped,
-// aet_seconds,tec,feasible rows.
-func WriteSurfaceCSV(w io.Writer, points []Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"alpha", "beta", "gamma", "t100", "mapped", "aet_seconds", "tec", "feasible"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			fmt.Sprintf("%g", p.Weights.Alpha),
-			fmt.Sprintf("%g", p.Weights.Beta),
-			fmt.Sprintf("%g", p.Weights.Gamma),
-			fmt.Sprintf("%d", p.Metrics.T100),
-			fmt.Sprintf("%d", p.Metrics.Mapped),
-			fmt.Sprintf("%g", p.Metrics.AETSeconds),
-			fmt.Sprintf("%g", p.Metrics.TEC),
-			fmt.Sprintf("%t", p.Feasible()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

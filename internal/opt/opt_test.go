@@ -1,10 +1,8 @@
 package opt
 
 import (
-	"bytes"
 	"errors"
 	"math"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -142,25 +140,6 @@ func TestSearchRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestFeasibleSet(t *testing.T) {
-	res, err := Search(syntheticRunner, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := res.FeasibleSet()
-	if len(set) == 0 {
-		t.Fatal("empty feasible set")
-	}
-	for _, p := range set {
-		if !p.Feasible() {
-			t.Fatal("infeasible point in feasible set")
-		}
-		if p.Metrics.T100 != res.Metrics.T100 {
-			t.Fatal("feasible set contains non-optimal T100")
-		}
-	}
-}
-
 func TestSearchOnRealSLRH(t *testing.T) {
 	// End-to-end: the sweep must find weights under which SLRH-1 fully
 	// maps a small constrained workload.
@@ -191,29 +170,5 @@ func TestSearchOnRealSLRH(t *testing.T) {
 	}
 	if res.Metrics.T100 <= 0 {
 		t.Fatal("optimum maps no primaries")
-	}
-}
-
-func TestSurface(t *testing.T) {
-	points, err := Surface(syntheticRunner, 0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 66 {
-		t.Fatalf("surface has %d points", len(points))
-	}
-	var buf bytes.Buffer
-	if err := WriteSurfaceCSV(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 67 {
-		t.Fatalf("CSV lines = %d", lines)
-	}
-	if _, err := Surface(nil, 0.1, 1); err == nil {
-		t.Fatal("nil runner accepted")
-	}
-	if _, err := Surface(syntheticRunner, 0, 1); err == nil {
-		t.Fatal("zero step accepted")
 	}
 }

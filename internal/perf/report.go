@@ -62,14 +62,6 @@ func (b *BenchResult) Allocs() (float64, bool) {
 	return *b.AllocsPerOp, true
 }
 
-// Bytes returns the benchmark's bytes/op and whether it was recorded.
-func (b *BenchResult) Bytes() (float64, bool) {
-	if b.BytesPerOp == nil {
-		return 0, false
-	}
-	return *b.BytesPerOp, true
-}
-
 // Bench returns the named benchmark result, or nil.
 func (r *Report) Bench(name string) *BenchResult {
 	for k := range r.Benchmarks {

@@ -25,7 +25,7 @@ func TestConfigWithDefaults(t *testing.T) {
 			if got.Workers != gmp {
 				t.Errorf("Workers = %d, want GOMAXPROCS %d", got.Workers, gmp)
 			}
-			if got.QueueSize != 64 || got.CacheSize != 1024 || got.RunHistory != 256 || got.MaxN != 2048 || got.RetryAfterSeconds != 1 {
+			if got.QueueSize != 64 || got.CacheSize != 1024 || got.RunHistory != 256 || got.MaxN != 2048 {
 				t.Errorf("defaults not applied: %+v", got)
 			}
 			if len(got.Classes) != len(DefaultClasses()) {
@@ -72,16 +72,6 @@ func TestConfigWithDefaults(t *testing.T) {
 				t.Errorf("MaxN = %d, want 100", got.MaxN)
 			}
 		}},
-		{"negative retry floor selects default", Config{RetryAfterSeconds: -2}, func(t *testing.T, got Config) {
-			if got.RetryAfterSeconds != 1 {
-				t.Errorf("RetryAfterSeconds = %d, want 1", got.RetryAfterSeconds)
-			}
-		}},
-		{"positive retry floor passes through", Config{RetryAfterSeconds: 9}, func(t *testing.T, got Config) {
-			if got.RetryAfterSeconds != 9 {
-				t.Errorf("RetryAfterSeconds = %d, want 9", got.RetryAfterSeconds)
-			}
-		}},
 		{"custom classes pass through", Config{Classes: []Class{{Name: "only", Priority: 0}}}, func(t *testing.T, got Config) {
 			if len(got.Classes) != 1 || got.Classes[0].Name != "only" {
 				t.Errorf("Classes = %+v, want the custom set", got.Classes)
@@ -103,13 +93,13 @@ func TestNegativeQueueSizeBehavesAsDocumented(t *testing.T) {
 	release := make(chan struct{})
 	// Spin until the worker goroutine reaches its wait loop and takes
 	// the pin: with zero slots a submission needs an idle worker.
-	for !s.pool.TrySubmit(func() { <-release }) {
+	for !s.pool.TrySubmitPriority(func() { <-release }, 0) {
 		runtime.Gosched()
 	}
 	for s.pool.Depth() > 0 {
 		runtime.Gosched() // wait for the worker to pick the pin up
 	}
-	if s.pool.TrySubmit(func() {}) {
+	if s.pool.TrySubmitPriority(func() {}, 0) {
 		t.Fatal("negative QueueSize must mean zero queue slots: busy worker + no slot must shed")
 	}
 	close(release)
@@ -441,6 +431,25 @@ func TestCapacityEndpoint(t *testing.T) {
 	}
 	if rep.Answer.CostSeconds <= 0 || rep.Answer.ReqPerSec <= 0 {
 		t.Fatalf("answer lacks positive estimates: %+v", rep.Answer)
+	}
+
+	// Every spelling POST /v1/map accepts is accepted here too, and the
+	// answer echoes the canonical name.
+	for _, spelling := range []struct{ query, want string }{
+		{"SLRH1", "slrh1"}, {"%20slrh1", "slrh1"}, {"MaxMax", "maxmax"},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/capacity?n=96&heuristic=" + spelling.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp)
+		var got CapacityReport
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("capacity?heuristic=%s = %d: %s", spelling.query, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &got); err != nil || got.Answer == nil || got.Answer.Heuristic != spelling.want {
+			t.Fatalf("capacity?heuristic=%s answered %s, want heuristic %q", spelling.query, body, spelling.want)
+		}
 	}
 
 	// Bad queries are client errors.

@@ -112,11 +112,11 @@ type CapacityQuery struct {
 	Class     string
 }
 
-// capacityAnswer resolves the focused query.
+// capacityAnswer resolves the focused query. The heuristic is spelled
+// as POST /v1/map spells it (trimmed, lowercased, empty selects slrh1),
+// and the answer echoes the canonical name.
 func (s *Server) capacityAnswer(q CapacityQuery) (*CapacityAnswer, error) {
-	if q.Heuristic == "" {
-		q.Heuristic = "slrh1"
-	}
+	q.Heuristic = Request{Heuristic: q.Heuristic}.Canonical().Heuristic
 	if heuristicIndex(q.Heuristic) == len(heuristicNames)-1 && q.Heuristic != heuristicNames[len(heuristicNames)-1] {
 		return nil, fmt.Errorf("unknown heuristic %q", q.Heuristic)
 	}

@@ -100,13 +100,13 @@ func TestHandoffBacklogDrainsOnQueueRefusal(t *testing.T) {
 	// Pin the only worker, then fill the single queue slot.
 	release := make(chan struct{})
 	defer close(release)
-	for !s.pool.TrySubmit(func() { <-release }) {
+	for !s.pool.TrySubmitPriority(func() { <-release }, 0) {
 		time.Sleep(time.Millisecond)
 	}
 	for s.pool.Depth() > 0 { // worker has picked up the pin
 		time.Sleep(time.Millisecond)
 	}
-	if !s.pool.TrySubmit(func() {}) {
+	if !s.pool.TrySubmitPriority(func() {}, 0) {
 		t.Fatal("could not occupy the queue slot")
 	}
 

@@ -33,7 +33,7 @@ func TestLoadAdmissionControl(t *testing.T) {
 
 	release := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		if !s.pool.TrySubmit(func() { <-release }) {
+		if !s.pool.TrySubmitPriority(func() { <-release }, 0) {
 			t.Fatal("could not pin worker")
 		}
 	}
@@ -253,7 +253,7 @@ func TestClientDisconnectMidQueueSkipsRun(t *testing.T) {
 
 	// Pin the only worker so the request parks in the queue.
 	release := make(chan struct{})
-	for !s.pool.TrySubmit(func() { <-release }) {
+	for !s.pool.TrySubmitPriority(func() { <-release }, 0) {
 		time.Sleep(time.Millisecond)
 	}
 	for s.pool.Depth() > 0 {
@@ -331,7 +331,7 @@ func TestCoalescingSingleExecution(t *testing.T) {
 	// the cache and never exercise coalescing.
 	release := make(chan struct{})
 	for pinned := 0; pinned < 2; {
-		if s.pool.TrySubmit(func() { <-release }) {
+		if s.pool.TrySubmitPriority(func() { <-release }, 0) {
 			pinned++
 		} else {
 			time.Sleep(time.Millisecond)

@@ -5,7 +5,7 @@ import "sync"
 // runPool is the bounded worker pool that runs the service's map jobs
 // (DESIGN.md §5): `workers` goroutines draining a job queue of capacity
 // `queueCap`, split into priority bands. Admission is explicit —
-// TrySubmit fails fast when the queue is full — so a caller under
+// TrySubmitPriority fails fast when the queue is full — so a caller under
 // pressure can return backpressure (HTTP 429) instead of blocking.
 // Workers always take the oldest job of the highest-priority
 // (lowest-numbered) non-empty band, so a latency-sensitive submission
@@ -80,13 +80,6 @@ func (p *runPool) pop() func() {
 		}
 	}
 	return nil
-}
-
-// TrySubmit enqueues job at the highest priority if a slot is free. It
-// returns false — without blocking — when the queue is full or the pool
-// is closed.
-func (p *runPool) TrySubmit(job func()) bool {
-	return p.TrySubmitPriority(job, 0)
 }
 
 // TrySubmitPriority enqueues job in the given priority band (clamped to

@@ -11,17 +11,17 @@ func TestPoolTrySubmitShedsOnFullQueue(t *testing.T) {
 	p := newRunPool(1, 1, 1)
 	defer p.Close()
 	release := make(chan struct{})
-	if !p.TrySubmit(func() { <-release }) {
+	if !p.TrySubmitPriority(func() { <-release }, 0) {
 		t.Fatal("first job must be accepted")
 	}
 	// Wait for the worker to pick it up, then fill the single queue slot.
 	for p.Depth() > 0 {
 		runtime.Gosched()
 	}
-	if !p.TrySubmit(func() {}) {
+	if !p.TrySubmitPriority(func() {}, 0) {
 		t.Fatal("queue slot should be free")
 	}
-	if p.TrySubmit(func() {}) {
+	if p.TrySubmitPriority(func() {}, 0) {
 		t.Fatal("full queue must shed")
 	}
 	close(release)
@@ -32,7 +32,7 @@ func TestPoolCloseDrainsAcceptedJobs(t *testing.T) {
 	var ran atomic.Int32
 	accepted := 0
 	for k := 0; k < 16; k++ {
-		if p.TrySubmit(func() { ran.Add(1) }) {
+		if p.TrySubmitPriority(func() { ran.Add(1) }, 0) {
 			accepted++
 		}
 	}
@@ -40,7 +40,7 @@ func TestPoolCloseDrainsAcceptedJobs(t *testing.T) {
 	if got := int(ran.Load()); got != accepted {
 		t.Fatalf("Close dropped jobs: accepted %d, ran %d", accepted, got)
 	}
-	if p.TrySubmit(func() {}) {
+	if p.TrySubmitPriority(func() {}, 0) {
 		t.Fatal("closed pool must refuse jobs")
 	}
 	p.Close() // idempotent
@@ -53,7 +53,7 @@ func TestPriorityPoolServiceOrder(t *testing.T) {
 	p := newRunPool(1, 9, 3)
 	defer p.Close()
 	release := make(chan struct{})
-	for !p.TrySubmit(func() { <-release }) {
+	for !p.TrySubmitPriority(func() { <-release }, 0) {
 		runtime.Gosched()
 	}
 	for p.Depth() > 0 { // the pin is on the worker; the queue is ours
@@ -111,13 +111,13 @@ func TestPoolZeroCapacityHandoff(t *testing.T) {
 	p := newRunPool(1, 0, 1)
 	defer p.Close()
 	release := make(chan struct{})
-	for !p.TrySubmit(func() { <-release }) {
+	for !p.TrySubmitPriority(func() { <-release }, 0) {
 		runtime.Gosched() // worker not parked yet
 	}
 	for p.Depth() > 0 {
 		runtime.Gosched()
 	}
-	if p.TrySubmit(func() {}) {
+	if p.TrySubmitPriority(func() {}, 0) {
 		t.Fatal("zero-capacity pool with a busy worker must shed")
 	}
 	close(release)

@@ -150,7 +150,7 @@ func ExecuteArena(req Request, maxN int,
 			cfg.Faults = plan
 		}
 		if req.Trace {
-			rec = trace.NewRecorder(1)
+			rec = trace.NewRecorder()
 			cfg.Observer = rec.Observe
 		}
 		var a *core.Arena

@@ -35,11 +35,6 @@ type Config struct {
 	// MaxN caps the accepted problem size |T| (zero selects the default
 	// of 2048; negative disables the cap).
 	MaxN int
-	// RetryAfterSeconds is the floor of the Retry-After hint on 429
-	// (non-positive selects the default of 1). The admission model derives
-	// larger hints from predicted backlog; this floor is all a cold model
-	// can offer.
-	RetryAfterSeconds int
 	// Classes is the service-class set steering admission (nil or empty
 	// selects DefaultClasses). Requests select a class by name via their
 	// "class" field; classes never alter response bytes.
@@ -69,14 +64,16 @@ func (c Config) withDefaults() Config {
 	} else if c.MaxN < 0 {
 		c.MaxN = 0
 	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = 1
-	}
 	if len(c.Classes) == 0 {
 		c.Classes = DefaultClasses()
 	}
 	return c
 }
+
+// retryFloor is the floor of the Retry-After hint on 429, in seconds.
+// The admission model derives larger hints from predicted backlog; this
+// floor is all a cold model can offer.
+const retryFloor = 1
 
 // mapStatusCodes is the fixed set of statuses the map endpoint can
 // answer with; slrhd_map_requests_total carries one series per entry.
@@ -126,13 +123,13 @@ const (
 )
 
 // Server is the slrhd scheduling service: handlers plus the worker
-// pool, result cache, run store, admission model and metrics registry
-// behind them.
+// pool, result cache, trace cache, admission model and metrics
+// registry behind them.
 type Server struct {
 	cfg       Config
 	pool      *runPool
 	cache     *Cache
-	runs      *RunStore
+	traces    *Cache // run id -> serialized trace.Document, in Body
 	reg       *Registry
 	model     *CostModel
 	admission *Admission
@@ -172,10 +169,10 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		pool:      newRunPool(cfg.Workers, cfg.QueueSize, priorityBands(cfg.Classes)),
 		cache:     NewCache(cfg.CacheSize),
-		runs:      NewRunStore(cfg.RunHistory),
+		traces:    NewCache(cfg.RunHistory),
 		reg:       NewRegistry(),
 		model:     model,
-		admission: NewAdmission(model, cfg.Workers, cfg.RetryAfterSeconds),
+		admission: NewAdmission(model, cfg.Workers, retryFloor),
 		arenas:    core.NewArenaPool(),
 		flights:   make(map[string]*flight),
 	}
@@ -231,10 +228,6 @@ func New(cfg Config) *Server {
 
 // Registry exposes the metrics registry (for tests and extensions).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Model exposes the cost model (for tests, calibration and the
-// capacity planner).
-func (s *Server) Model() *CostModel { return s.model }
 
 // BeginDrain flips readiness off: /readyz starts failing so load
 // balancers stop routing here, while in-flight and queued work keeps
@@ -390,7 +383,7 @@ func (s *Server) runJob(key string, f *flight, req Request, d Decision) func() {
 			s.runsSkipped.Inc()
 			s.admission.Complete(d.Predicted)
 			s.finishFlight(key, f, CacheEntry{}, &shedError{
-				retry: s.cfg.RetryAfterSeconds,
+				retry: retryFloor,
 				msg:   "run skipped after every waiting client disconnected",
 			})
 			return
@@ -494,14 +487,14 @@ func (s *Server) executeJob(req Request, predicted float64) (CacheEntry, error) 
 		if err := out.Trace.WriteJSON(&tb); err != nil {
 			return CacheEntry{}, err
 		}
-		s.runs.Put(runID, tb.Bytes())
+		s.traces.Put(runID, CacheEntry{Body: tb.Bytes()})
 	}
 	return CacheEntry{Body: buf.Bytes(), RunID: runID}, nil
 }
 
 // handleTrace serves a retained run's trace document.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	doc, ok := s.runs.Get(r.PathValue("id"))
+	e, ok := s.traces.Get(r.PathValue("id"))
 	if !ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)
@@ -509,7 +502,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	s.write(w, doc)
+	s.write(w, e.Body)
 }
 
 // handleMetrics scrapes the registry in Prometheus text format.

@@ -3,9 +3,6 @@
 // (a)–(d)). It shares no booking logic with package sched: every
 // constraint is re-derived from the assignment records alone, so a bug in
 // the construction substrate cannot hide itself.
-//
-// The package also produces a chronological event log for tracing and
-// supports the dynamic machine-loss extension checks.
 package sim
 
 import (

@@ -22,20 +22,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
 // SampleVariance returns the Bessel-corrected (n-1) variance of xs,
 // or 0 if len(xs) < 2. The paper's Table 3 reports sample deviations.
 func SampleVariance(xs []float64) float64 {

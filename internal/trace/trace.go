@@ -32,30 +32,18 @@ type Snapshot struct {
 	MachineEnergy []float64 `json:"machine_energy,omitempty"`
 }
 
-// Recorder accumulates snapshots; its Observe method matches the SLRH
-// Config.Observer hook.
+// Recorder accumulates one snapshot per observed timestep; its Observe
+// method matches the SLRH Config.Observer hook.
 type Recorder struct {
-	// Every keeps one snapshot per Every observed timesteps (1 = all).
-	Every     int
 	snapshots []Snapshot
-	seen      int
 }
 
-// NewRecorder returns a recorder that keeps every `every`-th snapshot.
-func NewRecorder(every int) *Recorder {
-	if every < 1 {
-		every = 1
-	}
-	return &Recorder{Every: every}
-}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Observe records the state at a timestep. It is safe to pass as the SLRH
 // observer; it never mutates the state.
 func (r *Recorder) Observe(now int64, st *sched.State) {
-	r.seen++
-	if (r.seen-1)%r.Every != 0 {
-		return
-	}
 	m := st.Metrics()
 	w := st.Obj.Weights
 	energy := make([]float64, st.Inst.Grid.M())
@@ -75,9 +63,6 @@ func (r *Recorder) Observe(now int64, st *sched.State) {
 		MachineEnergy: energy,
 	})
 }
-
-// Snapshots returns the recorded snapshots in order.
-func (r *Recorder) Snapshots() []Snapshot { return r.snapshots }
 
 // Len returns the number of stored snapshots.
 func (r *Recorder) Len() int { return len(r.snapshots) }
@@ -106,12 +91,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON emits the snapshots as a JSON array.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.snapshots)
 }
 
 // Document is the serializable record of one run: the per-timestep

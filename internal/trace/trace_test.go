@@ -13,7 +13,7 @@ import (
 	"adhocgrid/internal/workload"
 )
 
-func runWithRecorder(t *testing.T, every int) (*Recorder, *core.Result) {
+func runWithRecorder(t *testing.T) (*Recorder, *core.Result) {
 	t.Helper()
 	p := workload.DefaultParams(48)
 	p.EnergyScale = 1
@@ -25,7 +25,7 @@ func runWithRecorder(t *testing.T, every int) (*Recorder, *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(every)
+	rec := NewRecorder()
 	cfg := core.DefaultConfig(core.SLRH1, sched.NewWeights(0.4, 0.2))
 	cfg.Observer = rec.Observe
 	res, err := core.Run(inst, cfg)
@@ -36,11 +36,11 @@ func runWithRecorder(t *testing.T, every int) (*Recorder, *core.Result) {
 }
 
 func TestRecorderCapturesTimesteps(t *testing.T) {
-	rec, res := runWithRecorder(t, 1)
+	rec, res := runWithRecorder(t)
 	if rec.Len() != res.Timesteps {
 		t.Fatalf("recorded %d snapshots, %d timesteps", rec.Len(), res.Timesteps)
 	}
-	snaps := rec.Snapshots()
+	snaps := rec.snapshots
 	last := snaps[len(snaps)-1]
 	if last.Mapped != res.Metrics.Mapped || last.T100 != res.Metrics.T100 {
 		t.Fatalf("final snapshot %+v disagrees with metrics %+v", last, res.Metrics)
@@ -53,17 +53,8 @@ func TestRecorderCapturesTimesteps(t *testing.T) {
 	}
 }
 
-func TestRecorderSampling(t *testing.T) {
-	every, rec1 := 5, (*Recorder)(nil)
-	rec1, res := runWithRecorder(t, every)
-	want := (res.Timesteps + every - 1) / every
-	if rec1.Len() != want {
-		t.Fatalf("sampled %d snapshots, want %d", rec1.Len(), want)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
-	rec, _ := runWithRecorder(t, 1)
+	rec, _ := runWithRecorder(t)
 	var buf bytes.Buffer
 	if err := rec.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -77,23 +68,8 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	rec, _ := runWithRecorder(t, 1)
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back []Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != rec.Len() {
-		t.Fatalf("JSON round trip lost snapshots: %d vs %d", len(back), rec.Len())
-	}
-}
-
 func TestAssignmentTable(t *testing.T) {
-	_, res := runWithRecorder(t, 1)
+	_, res := runWithRecorder(t)
 	rows := AssignmentTable(res.State)
 	if len(rows) != res.Metrics.Mapped {
 		t.Fatalf("table has %d rows, %d mapped", len(rows), res.Metrics.Mapped)
@@ -112,7 +88,7 @@ func TestAssignmentTable(t *testing.T) {
 }
 
 func TestWriteAssignmentsCSV(t *testing.T) {
-	_, res := runWithRecorder(t, 1)
+	_, res := runWithRecorder(t)
 	var buf bytes.Buffer
 	if err := WriteAssignmentsCSV(&buf, res.State); err != nil {
 		t.Fatal(err)
@@ -124,7 +100,7 @@ func TestWriteAssignmentsCSV(t *testing.T) {
 }
 
 func TestDocumentRoundTrip(t *testing.T) {
-	rec, res := runWithRecorder(t, 1)
+	rec, res := runWithRecorder(t)
 	doc := NewDocument(rec, res.State)
 	if len(doc.Snapshots) != rec.Len() || len(doc.Assignments) != res.Metrics.Mapped {
 		t.Fatalf("document has %d snapshots / %d assignments, want %d / %d",
@@ -145,7 +121,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 }
 
 func TestDocumentNilRecorderMarshalsEmptyArrays(t *testing.T) {
-	_, res := runWithRecorder(t, 1)
+	_, res := runWithRecorder(t)
 	var buf bytes.Buffer
 	doc := NewDocument(nil, res.State)
 	doc.Assignments = nil // even a zeroed field must serialize as []
@@ -160,8 +136,8 @@ func TestDocumentNilRecorderMarshalsEmptyArrays(t *testing.T) {
 }
 
 func TestSnapshotMachineEnergyMonotone(t *testing.T) {
-	rec, res := runWithRecorder(t, 1)
-	snaps := rec.Snapshots()
+	rec, res := runWithRecorder(t)
+	snaps := rec.snapshots
 	m := res.State.Inst.Grid.M()
 	for k, s := range snaps {
 		if len(s.MachineEnergy) != m {

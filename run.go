@@ -2,7 +2,6 @@ package adhocgrid
 
 import (
 	"fmt"
-	"io"
 
 	"adhocgrid/internal/fault"
 	"adhocgrid/internal/lrnn"
@@ -149,23 +148,4 @@ func OptimizeWeights(run HeuristicFunc, o SearchOptions) (SearchResult, error) {
 		Found:     res.Found,
 		Evaluated: res.Evaluated,
 	}, nil
-}
-
-// SurfacePoint is one evaluated weight setting of a response surface.
-type SurfacePoint = opt.Point
-
-// WeightSurface evaluates the heuristic on the full (α, β) simplex grid
-// with the given step and returns every point in deterministic order —
-// the response surface behind the paper's Figure 3 sensitivity analysis.
-func WeightSurface(run HeuristicFunc, step float64, workers int) ([]SurfacePoint, error) {
-	if run == nil {
-		return nil, fmt.Errorf("adhocgrid: nil heuristic")
-	}
-	return opt.Surface(func(w sched.Weights) (sched.Metrics, error) { return run(w) }, step, workers)
-}
-
-// WriteSurfaceCSV emits a response surface as CSV
-// (alpha,beta,gamma,t100,mapped,aet_seconds,tec,feasible).
-func WriteSurfaceCSV(w io.Writer, points []SurfacePoint) error {
-	return opt.WriteSurfaceCSV(w, points)
 }
