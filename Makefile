@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-fix-hints lint-json lint-vet test loc loc-diff race check bench bench-json bench-check bench-compare bench-vet fuzz serve-smoke fault-smoke admission-smoke fabric-smoke chaos-smoke
+.PHONY: all build vet fmt-check lint lint-fix-hints lint-json lint-vet test loc loc-diff race check bench bench-json bench-check bench-compare bench-vet fuzz
 
 all: check
 
@@ -83,43 +83,11 @@ loc-diff:
 race:
 	$(GO) test -race ./...
 
-# `race` covers internal/serve, so the service's admission control and
-# drain paths are exercised under the race detector on every check.
+# `race` covers internal/serve, internal/fabric and cmd/slrhsim, so the
+# service's admission and drain paths, the router's failover, fault
+# classes and batch degradation, and the faulted CLI/service parity run
+# under the race detector on every check.
 check: build vet fmt-check lint race
-
-# End-to-end smoke of the slrhd service: boots on a loopback port,
-# exercises map (miss + byte-identical hit), trace, health, readiness
-# and metrics, then drains. No external tools (curl etc.) needed.
-serve-smoke:
-	$(GO) run ./cmd/slrhd -smoke
-
-# End-to-end smoke of the cost-predictive admission path: warms the
-# latency model with real runs, checks the capacity planner's answer,
-# provokes a cost shed (429 + Retry-After) via an unmeetable class
-# target, rejects an unknown class, and reconciles the shed/calibration
-# metrics. See README.md "Service classes".
-admission-smoke:
-	$(GO) run ./cmd/slrhd -admission-smoke
-
-# End-to-end smoke of the fabric tier: a slrhrouter over two in-process
-# slrhd backends. Asserts byte-identical routed vs direct responses
-# (the cross-fleet affinity contract), byte-identical failover after a
-# backend dies, deterministic batch scatter/gather order, fleet
-# capacity aggregation and the router metrics. See README.md
-# "Running a fleet".
-fabric-smoke:
-	$(GO) run ./cmd/slrhrouter -smoke
-
-# Chaos smoke of the hardened fabric, under the race detector: three
-# in-process slrhd backends behind a deterministic fault-injecting
-# transport (internal/chaos). Every fault class — drop, delay,
-# blackhole, 5xx burst, slow body, connection reset — must yield either
-# the byte-identical correct answer or a well-formed 503/429 with
-# Retry-After; batch items degrade per-item; membership churn under
-# live traffic stays invisible; zero goroutines leak. See README.md
-# "Surviving failures".
-chaos-smoke:
-	$(GO) run -race ./cmd/slrhrouter -chaos-smoke
 
 # Full testing.B benchmark sweep. -short skips the table/figure benches
 # that regenerate whole experiments per iteration; drop it (BENCH_SHORT=)
@@ -162,18 +130,6 @@ bench-compare:
 # benchmark runs.
 bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Determinism smoke for the fault engine: one canned churn plan (loss,
-# transient failure, link degradation, rejoin) run twice through
-# `slrhsim -json`; the two documents must be byte-identical.
-FAULT_SMOKE_PLAN = fail:t30@4000,lose:1@8000,slow:links*0.5@[9000,40000],rejoin:1@12000
-fault-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/slrhsim -n 96 -seed 11 -json -faults '$(FAULT_SMOKE_PLAN)' > "$$tmp/a.json" && \
-	$(GO) run ./cmd/slrhsim -n 96 -seed 11 -json -faults '$(FAULT_SMOKE_PLAN)' > "$$tmp/b.json" && \
-	cmp "$$tmp/a.json" "$$tmp/b.json" && \
-	grep -q '"verify_ok": true' "$$tmp/a.json" && \
-	echo "fault-smoke: two faulted runs byte-identical and verified"
 
 # Fuzz smokes: the chunked timeline against the naive reference, the
 # fault-DSL parser against its canonical re-spelling (parse/String round

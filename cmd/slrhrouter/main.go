@@ -18,31 +18,24 @@
 // Examples:
 //
 //	slrhrouter -backends http://10.0.0.1:8080,http://10.0.0.2:8080
-//	slrhrouter -smoke    # boot two in-process slrhd backends, self-test
-//	                     # routing, failover byte-parity, batch order and
-//	                     # fleet capacity, then exit
+//	slrhrouter -backends http://10.0.0.1:8080,http://10.0.0.2:8080 \
+//	    -chaos 'blackhole:b0@[0,3]' -chaos-seed 7   # inject faults
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"adhocgrid/internal/chaos"
 	"adhocgrid/internal/fabric"
-	"adhocgrid/internal/serve"
 )
 
 func main() {
@@ -56,7 +49,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("slrhrouter", flag.ContinueOnError)
 	var (
 		addr          = fs.String("addr", ":8090", "listen address")
-		backends      = fs.String("backends", "", "comma-separated slrhd base URLs (required unless -smoke)")
+		backends      = fs.String("backends", "", "comma-separated slrhd base URLs (required)")
 		replicas      = fs.Int("replicas", fabric.DefaultReplicas, "virtual nodes per backend on the hash ring")
 		window        = fs.Int("window", 4, "max in-flight batch items per home backend")
 		retries       = fs.Int("retries", 1, "extra attempts per backend before failing over (-1 = none)")
@@ -70,8 +63,6 @@ func run(args []string) error {
 		budgetBurst   = fs.Int("retry-budget-burst", 10, "retry tokens the fleet-wide budget can bank (-1 = refuse all retries)")
 		chaosPlan     = fs.String("chaos", "", "fault plan injected between router and backends, e.g. drop:b0@[0,9] (backends named b0.. in -backends order)")
 		chaosSeed     = fs.Uint64("chaos-seed", 1, "seed for the chaos plan's deterministic fault schedule")
-		smoke         = fs.Bool("smoke", false, "boot two in-process slrhd backends, self-test the fabric, exit")
-		chaosSmoke    = fs.Bool("chaos-smoke", false, "boot three in-process slrhd backends behind a fault-injecting transport, assert the hardening contract, exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,12 +78,6 @@ func run(args []string) error {
 		BreakerThreshold: *breakerThresh,
 		RetryBudgetRatio: *budgetRatio,
 		RetryBudgetBurst: *budgetBurst,
-	}
-	if *chaosSmoke {
-		return runChaosSmoke(cfg)
-	}
-	if *smoke {
-		return runSmoke(cfg)
 	}
 	if *backends == "" {
 		return fmt.Errorf("-backends is required (comma-separated slrhd base URLs)")
@@ -150,308 +135,4 @@ func runDaemon(addr string, drainTimeout time.Duration, cfg fabric.Config) error
 	}
 	fmt.Println("slrhrouter: drained cleanly")
 	return nil
-}
-
-// backend is one in-process slrhd instance the smoke runs the fabric
-// over.
-type backend struct {
-	srv  *serve.Server
-	http *http.Server
-	ln   net.Listener
-	url  string
-	once sync.Once
-}
-
-// startBackend boots one in-process slrhd on a loopback port.
-func startBackend() (*backend, error) {
-	s := serve.New(serve.Config{Workers: 2})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	b := &backend{srv: s, http: &http.Server{Handler: s.Handler()}, ln: ln, url: "http://" + ln.Addr().String()}
-	go func() {
-		//lint:errdrop Serve always returns ErrServerClosed after Close/Shutdown; the smoke's assertions are the verdict
-		_ = b.http.Serve(ln)
-	}()
-	return b, nil
-}
-
-// stop shuts the backend's listener and service down (idempotent, so
-// the chaos smoke can stop early for its leak check with the deferred
-// stop still armed for error paths).
-func (b *backend) stop() {
-	b.once.Do(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		//lint:errdrop best-effort teardown at smoke exit
-		_ = b.http.Shutdown(ctx)
-		b.srv.Close()
-	})
-}
-
-// smokeScenario is the request the routing and failover checks map.
-const smokeScenario = `{"n": 96, "case": "A", "heuristic": "slrh1", "seed": 1, "alpha": 0.5, "beta": 0.3}`
-
-// runSmoke is `make fabric-smoke`: two in-process slrhd backends under
-// one router, asserting the fabric contract end to end — routed and
-// re-routed (failed-over) responses byte-identical to each backend's
-// direct answer, deterministic batch order with byte-identical repeat,
-// and a fleet capacity report that aggregates both planners.
-func runSmoke(cfg fabric.Config) error {
-	b1, err := startBackend()
-	if err != nil {
-		return err
-	}
-	defer b1.stop()
-	b2, err := startBackend()
-	if err != nil {
-		return err
-	}
-	defer b2.stop()
-
-	cfg.Backends = []string{b1.url, b2.url}
-	cfg.ProbeInterval = 200 * time.Millisecond
-	cfg.BackoffBase = 5 * time.Millisecond
-	rt, err := fabric.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() {
-		//lint:errdrop Serve always returns ErrServerClosed after Shutdown; the smoke's assertions are the verdict
-		_ = httpSrv.Serve(ln)
-	}()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		//lint:errdrop best-effort teardown at smoke exit
-		_ = httpSrv.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{Timeout: 120 * time.Second}
-	fmt.Printf("fabric-smoke: router on %s over %s and %s\n", base, b1.url, b2.url)
-
-	// 1. Routing: the router's answer must be byte-identical to asking
-	// either backend directly (any backend computes the same bytes; the
-	// ring only decides whose cache warms).
-	routed, hdr, err := post(client, base+"/v1/map", smokeScenario)
-	if err != nil {
-		return fmt.Errorf("routed map: %w", err)
-	}
-	home := hdr.Get("X-Backend")
-	if home == "" {
-		return fmt.Errorf("routed response missing X-Backend")
-	}
-	direct1, _, err := post(client, b1.url+"/v1/map", smokeScenario)
-	if err != nil {
-		return fmt.Errorf("direct map (backend 1): %w", err)
-	}
-	direct2, _, err := post(client, b2.url+"/v1/map", smokeScenario)
-	if err != nil {
-		return fmt.Errorf("direct map (backend 2): %w", err)
-	}
-	if !bytes.Equal(routed, direct1) || !bytes.Equal(direct1, direct2) {
-		return fmt.Errorf("byte-parity violated: router/backend1/backend2 lengths %d/%d/%d",
-			len(routed), len(direct1), len(direct2))
-	}
-	fmt.Printf("fabric-smoke: routed == direct on both backends (%d bytes, home %s)\n", len(routed), home)
-
-	// Affinity: the same scenario routes to the same backend and now
-	// hits its cache.
-	again, hdr2, err := post(client, base+"/v1/map", smokeScenario)
-	if err != nil {
-		return fmt.Errorf("routed map (repeat): %w", err)
-	}
-	if hdr2.Get("X-Backend") != home {
-		return fmt.Errorf("affinity violated: %s then %s", home, hdr2.Get("X-Backend"))
-	}
-	if hdr2.Get("X-Cache") != "hit" || !bytes.Equal(again, routed) {
-		return fmt.Errorf("repeat should be a byte-identical cache hit, got X-Cache=%q", hdr2.Get("X-Cache"))
-	}
-	fmt.Println("fabric-smoke: cache affinity ok — repeat hit the home backend's cache")
-
-	// 2. Failover: kill the home backend; the re-routed answer must be
-	// byte-identical to the home backend's.
-	downed := b1
-	if home == b2.url {
-		downed = b2
-	}
-	downed.stop()
-	failover, hdr3, err := post(client, base+"/v1/map", smokeScenario)
-	if err != nil {
-		return fmt.Errorf("failover map: %w", err)
-	}
-	if hdr3.Get("X-Backend") == home {
-		return fmt.Errorf("request still routed to the downed backend %s", home)
-	}
-	if !bytes.Equal(failover, routed) {
-		return fmt.Errorf("failover answer not byte-identical to the home backend's")
-	}
-	fmt.Printf("fabric-smoke: failover ok — ring successor %s answered byte-identically\n", hdr3.Get("X-Backend"))
-
-	// 3. Batch: a sweep scattered over the surviving fleet must come
-	// back in input order, and a repeat must reproduce the response
-	// byte for byte.
-	const sweep = `{"sweep": {"heuristics": ["slrh1", "maxmax"], "ns": [64, 96], "seeds": [1], "alpha": 0.5, "beta": 0.3}}`
-	batch1, _, err := post(client, base+"/v1/map/batch", sweep)
-	if err != nil {
-		return fmt.Errorf("batch: %w", err)
-	}
-	if err := checkBatchOrder(batch1, 4); err != nil {
-		return err
-	}
-	batch2, _, err := post(client, base+"/v1/map/batch", sweep)
-	if err != nil {
-		return fmt.Errorf("batch (repeat): %w", err)
-	}
-	if !bytes.Equal(batch1, batch2) {
-		return fmt.Errorf("batch repeat not byte-identical (%d vs %d bytes)", len(batch1), len(batch2))
-	}
-	fmt.Printf("fabric-smoke: batch ok — 4 items in input order, repeat byte-identical (%d bytes)\n", len(batch1))
-
-	// 4. Fleet capacity: the merged report must aggregate the surviving
-	// backend's planner (the downed one is reported unreachable).
-	capBody, _, err := get(client, base+"/v1/capacity")
-	if err != nil {
-		return fmt.Errorf("fleet capacity: %w", err)
-	}
-	var rep struct {
-		Backends int `json:"backends"`
-		Healthy  int `json:"healthy"`
-		Workers  int `json:"workers"`
-	}
-	if err := json.Unmarshal(capBody, &rep); err != nil {
-		return fmt.Errorf("fleet capacity report: %w", err)
-	}
-	if rep.Backends != 2 || rep.Healthy != 1 || rep.Workers != 2 {
-		return fmt.Errorf("fleet capacity merge wrong: backends=%d healthy=%d workers=%d, want 2/1/2",
-			rep.Backends, rep.Healthy, rep.Workers)
-	}
-	fmt.Println("fabric-smoke: fleet capacity ok — 1/2 backends healthy, workers aggregated")
-
-	// 5. Router metrics.
-	metrics, _, err := get(client, base+"/metrics")
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	for _, want := range []string{
-		`slrhrouter_map_requests_total{code="200"}`,
-		`slrhrouter_batch_items_total{status="ok"} 8`,
-		"slrhrouter_backends 2",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			return fmt.Errorf("metrics missing %q", want)
-		}
-	}
-	// Failovers: the explicit failover check plus every batch item whose
-	// home was the downed backend — at least 1, never 0.
-	if strings.Contains(string(metrics), "slrhrouter_failovers_total 0") {
-		return fmt.Errorf("failover counter still zero after a failed-over request")
-	}
-	fmt.Println("fabric-smoke: metrics ok")
-
-	rt.BeginDrain()
-	if _, code, err := getStatus(client, base+"/readyz"); err != nil || code != http.StatusServiceUnavailable {
-		return fmt.Errorf("readyz while draining = %d (err %v), want 503", code, err)
-	}
-	fmt.Println("fabric-smoke: drained cleanly — all checks passed")
-	return nil
-}
-
-// checkBatchOrder asserts an NDJSON batch body carries exactly items
-// result lines with ascending indexes, all 200, plus a summary line.
-func checkBatchOrder(body []byte, items int) error {
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	next := 0
-	sawDone := false
-	for sc.Scan() {
-		var line struct {
-			Index  *int `json:"index"`
-			Status int  `json:"status"`
-			Done   bool `json:"done"`
-			OK     int  `json:"ok"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return fmt.Errorf("batch line %d: %w", next, err)
-		}
-		if line.Done {
-			sawDone = true
-			if line.OK != items {
-				return fmt.Errorf("batch summary ok=%d, want %d", line.OK, items)
-			}
-			continue
-		}
-		if line.Index == nil || *line.Index != next {
-			return fmt.Errorf("batch line out of order: got %v, want index %d", line.Index, next)
-		}
-		if line.Status != http.StatusOK {
-			return fmt.Errorf("batch item %d status %d, want 200", next, line.Status)
-		}
-		next++
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if next != items || !sawDone {
-		return fmt.Errorf("batch had %d items (want %d), done=%v", next, items, sawDone)
-	}
-	return nil
-}
-
-// post issues a POST with a JSON body, erroring on any non-200 status.
-func post(client *http.Client, url, body string) ([]byte, http.Header, error) {
-	resp, err := client.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := readAll(resp)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("status %d: %s", resp.StatusCode, b)
-	}
-	return b, resp.Header, nil
-}
-
-// get issues a GET, erroring on any non-200 status.
-func get(client *http.Client, url string) ([]byte, http.Header, error) {
-	b, code, err := getStatus(client, url)
-	if err != nil {
-		return nil, nil, err
-	}
-	if code != http.StatusOK {
-		return nil, nil, fmt.Errorf("GET %s: status %d: %s", url, code, b)
-	}
-	return b, nil, nil
-}
-
-// getStatus issues a GET and returns body + status without judging it.
-func getStatus(client *http.Client, url string) ([]byte, int, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	b, err := readAll(resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	return b, resp.StatusCode, nil
-}
-
-// readAll drains and closes a response body.
-func readAll(resp *http.Response) ([]byte, error) {
-	b, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	return b, err
 }

@@ -80,7 +80,7 @@ func postMap(t *testing.T, ts *httptest.Server, req serve.Request) (int, []byte)
 // TestJSONParityWithService is the end-to-end acceptance check: for a
 // fixed seed, `slrhsim -json` must produce bytes identical to the
 // service's POST /v1/map response — on a cache miss and again on the
-// cache hit.
+// cache hit — and every answer must pass the schedule verifier.
 func TestJSONParityWithService(t *testing.T) {
 	flagSets := [][]string{
 		{"-n", "64", "-seed", "11", "-case", "A", "-heuristic", "slrh1", "-alpha", "0.5", "-beta", "0.3", "-json"},
@@ -94,6 +94,10 @@ func TestJSONParityWithService(t *testing.T) {
 		// cache entry as the pure-DSL request below.
 		{"-n", "64", "-seed", "11", "-case", "A", "-heuristic", "slrh1", "-alpha", "0.5", "-beta", "0.3",
 			"-lose", "1@20000", "-faults", "slow:links*0.5@[30000,90000],rejoin:1@50000", "-json"},
+		// Every event kind, a transient subtask failure included, on the
+		// CLI defaults.
+		{"-n", "96", "-seed", "11", "-json",
+			"-faults", "fail:t30@4000,lose:1@8000,slow:links*0.5@[9000,40000],rejoin:1@12000"},
 	}
 	requests := []serve.Request{
 		{N: 64, Seed: 11, Case: "A", Heuristic: "slrh1", Alpha: 0.5, Beta: 0.3},
@@ -105,6 +109,8 @@ func TestJSONParityWithService(t *testing.T) {
 			Faults: "lose:1@20000,slow:links*0.5@[30000,90000],rejoin:1@50000"},
 		{N: 64, Seed: 11, Case: "A", Heuristic: "slrh1", Alpha: 0.5, Beta: 0.3,
 			Faults: "lose:1@20000,slow:links*0.5@[30000,90000],rejoin:1@50000"},
+		{N: 96, Seed: 11, Case: "A", Heuristic: "slrh1", Alpha: 0.5, Beta: 0.3,
+			Faults: "fail:t30@4000,lose:1@8000,slow:links*0.5@[9000,40000],rejoin:1@12000"},
 	}
 
 	s := serve.New(serve.Config{})
@@ -125,6 +131,9 @@ func TestJSONParityWithService(t *testing.T) {
 		}
 		if !bytes.Equal(cli.Bytes(), miss) {
 			t.Fatalf("CLI and service bytes differ for %v:\ncli:     %s\nservice: %s", flags, cli.Bytes(), miss)
+		}
+		if !bytes.Contains(miss, []byte(`"verify_ok": true`)) {
+			t.Fatalf("service answer for %v fails verification:\n%s", flags, miss)
 		}
 		status, hit := postMap(t, ts, requests[i])
 		if status != http.StatusOK {

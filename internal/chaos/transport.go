@@ -67,7 +67,7 @@ func (t *Transport) Register(name, baseURL string) {
 }
 
 // Count returns how many intercepted requests the named backend has
-// seen (for tests and smoke assertions).
+// seen.
 func (t *Transport) Count(name string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -134,37 +134,11 @@ type batchItem struct {
 // compacted onto one line, so a healthy-fleet batch re-run reproduces
 // the whole response byte for byte.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	var breq BatchRequest
-	if err := dec.Decode(&breq); err != nil {
+	reqs, err := rt.decodeBatch(w, r)
+	if err != nil {
 		count(rt.batchRequests, http.StatusBadRequest)
-		rt.jsonError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+		rt.jsonError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	size := len(breq.Items)
-	switch {
-	case len(breq.Items) > 0 && breq.Sweep != nil:
-		count(rt.batchRequests, http.StatusBadRequest)
-		rt.jsonError(w, http.StatusBadRequest, "batch takes items or a sweep, not both")
-		return
-	case len(breq.Items) > 0:
-	case breq.Sweep != nil:
-		size = breq.Sweep.Size(rt.cfg.MaxBatchItems)
-	default:
-		count(rt.batchRequests, http.StatusBadRequest)
-		rt.jsonError(w, http.StatusBadRequest, "empty batch: provide items or a sweep")
-		return
-	}
-	if size > rt.cfg.MaxBatchItems {
-		count(rt.batchRequests, http.StatusBadRequest)
-		rt.jsonError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch exceeds the cap of %d items", rt.cfg.MaxBatchItems))
-		return
-	}
-	reqs := breq.Items
-	if breq.Sweep != nil {
-		reqs = breq.Sweep.Expand()
 	}
 
 	ctx := r.Context()
@@ -249,6 +223,53 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.write(w, []byte(fmt.Sprintf(`{"done":true,"items":%d,"ok":%d,"failed":%d}`+"\n", len(items), ok, failed)))
+}
+
+// decodeBatch reads a batch body into its requests, or returns why it
+// is a 400. The size cap is checked before anything is built: a sweep
+// is counted before it is expanded, and an item list is decoded one
+// element at a time and refused at element MaxBatchItems+1, before that
+// element is decoded.
+func (rt *Router) decodeBatch(w http.ResponseWriter, r *http.Request) ([]serve.Request, error) {
+	limit := rt.cfg.MaxBatchItems
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec.DisallowUnknownFields()
+	var body struct { // BatchRequest, with the items left raw
+		Items json.RawMessage `json:"items"`
+		Sweep *SweepSpec      `json:"sweep"`
+	}
+	if err := dec.Decode(&body); err != nil {
+		return nil, fmt.Errorf("bad batch body: %w", err)
+	}
+	var items []serve.Request
+	if len(body.Items) > 0 && string(body.Items) != "null" {
+		dec = json.NewDecoder(bytes.NewReader(body.Items))
+		dec.DisallowUnknownFields()
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+			return nil, errors.New("bad batch body: items is not an array")
+		}
+		for dec.More() {
+			if len(items) == limit {
+				return nil, fmt.Errorf("batch exceeds the cap of %d items", limit)
+			}
+			var req serve.Request
+			if err := dec.Decode(&req); err != nil {
+				return nil, fmt.Errorf("bad batch body: item %d: %w", len(items), err)
+			}
+			items = append(items, req)
+		}
+	}
+	switch {
+	case len(items) > 0 && body.Sweep != nil:
+		return nil, errors.New("batch takes items or a sweep, not both")
+	case len(items) > 0:
+		return items, nil
+	case body.Sweep == nil:
+		return nil, errors.New("empty batch: provide items or a sweep")
+	case body.Sweep.Size(limit) > limit:
+		return nil, fmt.Errorf("batch exceeds the cap of %d items", limit)
+	}
+	return body.Sweep.Expand(), nil
 }
 
 // scatterItem runs one item: acquire the home backend's window token,

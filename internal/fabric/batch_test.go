@@ -101,22 +101,11 @@ func TestSweepSizeSaturates(t *testing.T) {
 	}
 }
 
-// TestBatchSweepOverCapAllocatesLittle sends a 200,000-item sweep (a
-// ~290 KB body) and requires the 400 to come before expansion: the
-// expanded requests alone would take ~32 MB.
-func TestBatchSweepOverCapAllocatesLittle(t *testing.T) {
+// requireCheapCapRefusal posts body to a one-backend fleet's batch
+// handler and requires a 400 over the cap that allocated under 8 MB.
+func requireCheapCapRefusal(t *testing.T, body []byte) {
+	t.Helper()
 	f := newTestFleet(t, 1, func(c *Config) { c.ProbeInterval = time.Hour })
-	seeds := make([]uint64, 50000)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	body, err := json.Marshal(BatchRequest{Sweep: &SweepSpec{
-		Cases: []string{"A", "B"}, Heuristics: []string{"slrh1", "maxmax"},
-		Ns: []int{64}, Seeds: seeds, Alpha: 0.5, Beta: 0.3,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := f.router.Handler()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/map/batch", bytes.NewReader(body))
@@ -128,9 +117,35 @@ func TestBatchSweepOverCapAllocatesLittle(t *testing.T) {
 		t.Fatalf("status %d (%s), want 400 over the cap", rec.Code, rec.Body.String())
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
-		t.Fatalf("rejecting a %d-byte sweep allocated %.1f MB; the cap must be checked before expansion",
+		t.Fatalf("rejecting a %d-byte batch allocated %.1f MB; the cap must be checked before the batch is built",
 			len(body), float64(grew)/(1<<20))
 	}
+}
+
+// TestBatchSweepOverCapAllocatesLittle sends a 200,000-item sweep (a
+// ~290 KB body) and requires the 400 to come before expansion: the
+// expanded requests alone would take ~32 MB.
+func TestBatchSweepOverCapAllocatesLittle(t *testing.T) {
+	seeds := make([]uint64, 50000)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	body, err := json.Marshal(BatchRequest{Sweep: &SweepSpec{
+		Cases: []string{"A", "B"}, Heuristics: []string{"slrh1", "maxmax"},
+		Ns: []int{64}, Seeds: seeds, Alpha: 0.5, Beta: 0.3,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCheapCapRefusal(t, body)
+}
+
+// TestBatchItemsOverCapAllocatesLittle sends a 1 MiB explicit list of
+// ~350,000 empty items and requires the 400 at item 1,025, before the
+// list is built: decoded in full it takes ~290 MB.
+func TestBatchItemsOverCapAllocatesLittle(t *testing.T) {
+	body := []byte(`{"items":[{}` + strings.Repeat(`,{}`, (1<<20)/3) + `]}`)
+	requireCheapCapRefusal(t, body)
 }
 
 // batchLine is the decoded shape of one NDJSON result line.
@@ -239,6 +254,7 @@ func TestBatchSweepDeterministicOrder(t *testing.T) {
 	if !bytes.Equal(body, body2) {
 		t.Fatalf("batch response not byte-identical across repeats (%d vs %d bytes)", len(body), len(body2))
 	}
+	wantMetrics(t, f, `slrhrouter_batch_items_total{status="ok"} 8`)
 }
 
 // TestBatchItemsPerItemStatus posts an explicit item list where one
@@ -278,6 +294,8 @@ func TestBatchRejects(t *testing.T) {
 		{"both", `{"items": [{"n": 64, "alpha": 0.5, "beta": 0.3}], "sweep": {"alpha": 0.5, "beta": 0.3}}`, "not both"},
 		{"garbage", `{nope`, "bad batch body"},
 		{"unknown field", `{"sweeps": {}}`, "bad batch body"},
+		{"unknown item field", `{"items": [{"n": 64, "alpha": 0.5, "beta": 0.3, "bogus": 1}]}`, "unknown field"},
+		{"items over cap", `{"items": [{}, {}, {}]}`, "exceeds the cap"},
 		{"over cap", `{"sweep": {"ns": [64, 80, 96], "alpha": 0.5, "beta": 0.3}}`, "exceeds the cap"},
 	}
 	for _, tc := range cases {

@@ -202,44 +202,51 @@ func TestRetryAfterPreservedAcrossFailover(t *testing.T) {
 
 // TestRetryAfterSynthesizedFromCapacity: when the retry budget refuses
 // a walk, the 429's Retry-After comes from the fleet capacity model —
-// ceil(backlog / workers), exactly the per-instance admission math.
+// ceil(backlog / workers), exactly the per-instance admission math. A
+// blackholed fleet gets the same fast 429 once its free attempt times
+// out, instead of hanging for the client's whole deadline.
 func TestRetryAfterSynthesizedFromCapacity(t *testing.T) {
-	stub := faultStub(t, nil, `{"workers": 2, "queue_slots": 8, "backlog_seconds": 10}`)
+	for _, dsl := range []string{"drop:b0@[0,1000]", "blackhole:b0@[0,1000]"} {
+		t.Run(strings.Split(dsl, ":")[0], func(t *testing.T) {
+			stub := faultStub(t, nil, `{"workers": 2, "queue_slots": 8, "backlog_seconds": 10}`)
 
-	plan, err := chaos.ParsePlan("drop:b0@[0,1000]")
-	if err != nil {
-		t.Fatalf("ParsePlan: %v", err)
-	}
-	tr := chaos.NewTransport(nil, plan, 7)
-	tr.Register("b0", stub.URL)
-	rt, front := newStubRouter(t, func(c *Config) {
-		c.Client = &http.Client{Transport: tr}
-		c.Retries = -1          // no same-backend retries
-		c.RetryBudgetRatio = -1 // empty bucket:
-		c.RetryBudgetBurst = -1 // every extra attempt is refused
-	}, stub.URL)
-	client := &http.Client{Timeout: 30 * time.Second}
+			plan, err := chaos.ParsePlan(dsl)
+			if err != nil {
+				t.Fatalf("ParsePlan: %v", err)
+			}
+			tr := chaos.NewTransport(nil, plan, 7)
+			tr.Register("b0", stub.URL)
+			rt, front := newStubRouter(t, func(c *Config) {
+				c.Client = &http.Client{Transport: tr}
+				c.AttemptTimeout = 150 * time.Millisecond
+				c.Retries = -1          // no same-backend retries
+				c.RetryBudgetRatio = -1 // empty bucket:
+				c.RetryBudgetBurst = -1 // every extra attempt is refused
+			}, stub.URL)
+			client := &http.Client{Timeout: 30 * time.Second}
 
-	// Warm the capacity cache through the router (the chaos drop only
-	// intercepts /v1/map, so the aggregation flows).
-	capBody, _, _ := postStatus(t, client, http.MethodGet, front.URL+"/v1/capacity", "")
-	var rep FleetCapacityReport
-	if err := json.Unmarshal(capBody, &rep); err != nil || rep.Workers != 2 {
-		t.Fatalf("capacity warmup: %v (%s)", err, capBody)
-	}
+			// Warm the capacity cache through the router (the chaos plan
+			// only intercepts /v1/map, so the aggregation flows).
+			capBody, _, _ := postStatus(t, client, http.MethodGet, front.URL+"/v1/capacity", "")
+			var rep FleetCapacityReport
+			if err := json.Unmarshal(capBody, &rep); err != nil || rep.Workers != 2 {
+				t.Fatalf("capacity warmup: %v (%s)", err, capBody)
+			}
 
-	code, hdr, body := postJSON(t, client, front.URL+"/v1/map", testScenario)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("budget-refused walk: status %d (%s), want 429", code, body)
-	}
-	if !strings.Contains(string(body), "retry budget exhausted") {
-		t.Fatalf("429 body %q lacks the budget detail", body)
-	}
-	if got := hdr.Get("Retry-After"); got != "5" {
-		t.Fatalf("Retry-After = %q, want 5 (ceil(10s backlog / 2 workers))", got)
-	}
-	if rt.budgetRejects.Value() == 0 {
-		t.Fatalf("budget reject counter still zero")
+			code, hdr, body := postJSON(t, client, front.URL+"/v1/map", testScenario)
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("budget-refused walk: status %d (%s), want 429", code, body)
+			}
+			if !strings.Contains(string(body), "retry budget exhausted") {
+				t.Fatalf("429 body %q lacks the budget detail", body)
+			}
+			if got := hdr.Get("Retry-After"); got != "5" {
+				t.Fatalf("Retry-After = %q, want 5 (ceil(10s backlog / 2 workers))", got)
+			}
+			if rt.budgetRejects.Value() == 0 {
+				t.Fatalf("budget reject counter still zero")
+			}
+		})
 	}
 }
 
@@ -272,6 +279,115 @@ func TestForward5xxFailsOverThenReturnsVerbatim(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "chaos: injected 503 burst") {
 		t.Fatalf("503 body %q is not the backend's verbatim answer", body)
+	}
+}
+
+// TestRouterSurvivesEachFaultClass injects each fault class at the
+// home backend of a live two-backend fleet (5xx has its own test
+// above). A fault that fails the attempt (drop, reset, blackhole) is
+// healed by failing over; one that only slows it (delay, slowbody) is
+// served in place within the attempt timeout. Either way the client
+// gets the home backend's exact bytes.
+func TestRouterSurvivesEachFaultClass(t *testing.T) {
+	for _, tc := range []struct {
+		name, dsl string
+		failover  bool
+	}{
+		{"drop", "drop:b0@[0,1000]", true},
+		{"reset", "reset:b0@[0,1000]", true},
+		{"blackhole", "blackhole:b0@[0,1000]", true},
+		{"delay", "delay:b0*40ms@[0,1000]", false},
+		{"slowbody", "slowbody:b0*1ms@[0,1000]", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, tr := chaosFleet(t, 2, tc.dsl, func(c *Config) { c.AttemptTimeout = 200 * time.Millisecond })
+			want := postDirect(t, f)
+			scenario := scenarioForHome(t, f.router, f.urls[0])
+			code, hdr, got := postJSON(t, f.client, f.front.URL+"/v1/map", scenario)
+			if code != http.StatusOK || !bytes.Equal(got, want[scenario]) {
+				t.Fatalf("status %d with %d bytes (%s); want the home backend's %d bytes",
+					code, len(got), got, len(want[scenario]))
+			}
+			if tr.Count("b0") == 0 {
+				t.Fatalf("the fault never saw the request")
+			}
+			if served := hdr.Get("X-Backend"); (served != f.urls[0]) != tc.failover {
+				t.Fatalf("answered by %s (home %s); failover %v wanted", served, f.urls[0], tc.failover)
+			}
+		})
+	}
+}
+
+// TestBatchDegradesPerItem blackholes one backend under a batch with
+// the retry budget off and the breaker held shut, so each item's
+// outcome follows from ring placement alone: every item homed on the
+// faulted backend degrades to its own 429 line with a Retry-After and
+// an error, every other item answers 200 with its body, and the
+// summary reconciles.
+func TestBatchDegradesPerItem(t *testing.T) {
+	f, _ := chaosFleet(t, 2, "blackhole:b0@[0,1000]", func(c *Config) {
+		c.AttemptTimeout = 150 * time.Millisecond
+		c.Retries = -1
+		c.RetryBudgetRatio = -1
+		c.RetryBudgetBurst = -1
+		c.BreakerThreshold = 100 // never trips: each faulted item fails on its own
+	})
+	// Six |T|=16 seeds, the first three homed on the faulted backend and
+	// the first three homed elsewhere (placement follows the fleet's
+	// ports, so the seeds are picked from the ring).
+	var seeds []uint64
+	var faulted []bool
+	picked := map[bool]int{}
+	for seed := uint64(1); seed < 200 && len(seeds) < 6; seed++ {
+		req := serve.Request{N: 16, Case: "A", Heuristic: "slrh1", Seed: seed, Alpha: 0.5, Beta: 0.3}
+		home := f.router.Ring().Home(serve.CanonicalKey(req))
+		onB0 := home == f.urls[0]
+		if picked[onB0] == 3 {
+			continue
+		}
+		picked[onB0]++
+		seeds, faulted = append(seeds, seed), append(faulted, onB0)
+		if onB0 {
+			continue
+		}
+		// Warm the healthy home, so the item's single attempt is a cache
+		// hit well inside the attempt timeout even on a loaded host.
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _, b := postJSON(t, f.client, home+"/v1/map", string(body)); code != http.StatusOK {
+			t.Fatalf("warming seed %d: status %d (%s)", seed, code, b)
+		}
+	}
+	if len(seeds) != 6 {
+		t.Fatalf("found %d of 6 seeds within 200", len(seeds))
+	}
+
+	sweep, err := json.Marshal(BatchRequest{Sweep: &SweepSpec{Ns: []int{16}, Seeds: seeds, Alpha: 0.5, Beta: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, body := postJSON(t, f.client, f.front.URL+"/v1/map/batch", string(sweep))
+	if code != http.StatusOK {
+		t.Fatalf("batch: status %d (%s)", code, body)
+	}
+	lines, summary := parseBatch(t, body)
+	if len(lines) != len(seeds) {
+		t.Fatalf("batch emitted %d item lines, want %d", len(lines), len(seeds))
+	}
+	for i, l := range lines {
+		switch {
+		case l.Index != i:
+			t.Fatalf("line %d carries index %d", i, l.Index)
+		case faulted[i] && (l.Status != http.StatusTooManyRequests || l.RetryAfter == "" || l.Error == ""):
+			t.Fatalf("item %d homed on the blackholed backend: %+v; want a 429 with retry_after and error", i, l)
+		case !faulted[i] && (l.Status != http.StatusOK || len(l.Body) == 0):
+			t.Fatalf("healthy item %d: %+v; want a 200 with a body", i, l)
+		}
+	}
+	if summary.Items != 6 || summary.OK != 3 || summary.Failed != 3 {
+		t.Fatalf("summary %+v; want 6 items, 3 ok, 3 failed", summary)
 	}
 }
 

@@ -148,8 +148,8 @@ type fleetView struct {
 // same canonical request no matter which instance answers (DESIGN.md
 // §12). Routing by canonical key is therefore purely a cache-affinity
 // optimization, and failover to a ring successor is invisible in the
-// response bytes (asserted by tests, `make fabric-smoke` and the
-// fault-injecting `make chaos-smoke`).
+// response bytes (asserted by the package tests, with and without
+// injected faults).
 type Router struct {
 	cfg      Config
 	health   *Health
@@ -278,15 +278,11 @@ func (rt *Router) currentView() *fleetView { return rt.view.Load() }
 // Registry exposes the metrics registry (for tests and extensions).
 func (rt *Router) Registry() *serve.Registry { return rt.reg }
 
-// Ring exposes the current view's hash ring (immutable; for tests and
-// the smokes).
+// Ring exposes the current view's hash ring (immutable).
 func (rt *Router) Ring() *Ring { return rt.currentView().ring }
 
-// Health exposes the breaker view (for tests and the smokes).
+// Health exposes the breaker view.
 func (rt *Router) Health() *Health { return rt.health }
-
-// Budget exposes the retry budget (for tests and the smokes).
-func (rt *Router) Budget() *Budget { return rt.budget }
 
 // Members returns the current fleet, sorted.
 func (rt *Router) Members() []string {

@@ -70,6 +70,23 @@ func postJSON(t *testing.T, client *http.Client, url, body string) (int, http.He
 	return resp.StatusCode, resp.Header, b
 }
 
+// wantMetrics fetches the router's /metrics page and requires each of
+// want on it as a whole line; it returns the page.
+func wantMetrics(t *testing.T, f *testFleet, want ...string) string {
+	t.Helper()
+	body, code, _ := postStatus(t, f.client, http.MethodGet, f.front.URL+"/metrics", "")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	text := string(body)
+	for _, w := range want {
+		if !strings.Contains(text, "\n"+w+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", w, text)
+		}
+	}
+	return text
+}
+
 const testScenario = `{"n": 64, "case": "A", "heuristic": "slrh1", "seed": 7, "alpha": 0.5, "beta": 0.3}`
 
 // TestRouterByteParityAndAffinity is the core fabric contract: the
@@ -148,6 +165,10 @@ func TestRouterFailoverByteParity(t *testing.T) {
 	}
 	if got := f.router.failovers.Value(); got == 0 {
 		t.Fatalf("failover counter still zero")
+	}
+	text := wantMetrics(t, f, `slrhrouter_map_requests_total{code="200"} 2`, "slrhrouter_backends 2")
+	if !strings.Contains(text, "\nslrhrouter_failovers_total ") || strings.Contains(text, "\nslrhrouter_failovers_total 0\n") {
+		t.Fatalf("/metrics does not show the failover:\n%s", text)
 	}
 }
 

@@ -173,30 +173,13 @@ func currentID() string {
 	return id
 }
 
-// Find returns the goroutines that look leaked right now, after
-// filtering stable stacks. Extra substrings can widen the ignore list
-// for a package's known long-lived workers.
-func Find(ignore ...string) []Goroutine {
+// find returns the goroutines that look leaked right now, after
+// filtering stable stacks.
+func find() []Goroutine {
 	self := currentID()
 	var leaks []Goroutine
 	for _, g := range Snapshot() {
-		if !interesting(g, self) {
-			continue
-		}
-		ignored := false
-		for _, pat := range ignore {
-			for _, frame := range g.Funcs {
-				if strings.Contains(frame, pat) {
-					ignored = true
-					break
-				}
-			}
-			if ignored || (g.CreatedBy != "" && strings.Contains(g.CreatedBy, pat)) {
-				ignored = true
-				break
-			}
-		}
-		if !ignored {
+		if interesting(g, self) {
 			leaks = append(leaks, g)
 		}
 	}
@@ -215,37 +198,28 @@ var retrySchedule = []time.Duration{
 
 // settle polls until no leaks remain or the schedule is exhausted,
 // returning the final set.
-func settle(ignore ...string) []Goroutine {
-	leaks := Find(ignore...)
+func settle() []Goroutine {
+	leaks := find()
 	for _, d := range retrySchedule {
 		if len(leaks) == 0 {
 			return nil
 		}
 		time.Sleep(d)
-		leaks = Find(ignore...)
+		leaks = find()
 	}
 	return leaks
-}
-
-// Check fails t if goroutines are still alive after the settle
-// period. Call it via defer at the end of a test that spawns workers.
-func Check(t testing.TB, ignore ...string) {
-	t.Helper()
-	for _, g := range settle(ignore...) {
-		t.Errorf("leaked goroutine %s [%s] created by %s:\n%s", g.ID, g.State, g.CreatedBy, g.Raw)
-	}
 }
 
 // Main wraps m.Run for a package TestMain: it runs the suite, then
 // verifies every goroutine the tests spawned has exited. Usage:
 //
 //	func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }
-func Main(m *testing.M, ignore ...string) int {
+func Main(m *testing.M) int {
 	code := m.Run()
 	if code != 0 {
 		return code
 	}
-	leaks := settle(ignore...)
+	leaks := settle()
 	for _, g := range leaks {
 		fmt.Fprintf(os.Stderr, "leakcheck: leaked goroutine %s [%s] created by %s:\n%s\n\n",
 			g.ID, g.State, g.CreatedBy, g.Raw)

@@ -349,6 +349,23 @@ func TestCostShedOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch class = %d, want 200", resp.StatusCode)
 	}
+
+	// The shed and the calibration show in /metrics: two observed runs,
+	// of which only the second found a warm model to predict with.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(readBody(t, resp))
+	for _, want := range []string{
+		`slrhd_shed_total{reason="cost"} 1`,
+		`slrhd_prediction_ratio_count{heuristic="slrh1"} 1`,
+		`slrhd_model_observations{heuristic="slrh1"} 2`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", want, text)
+		}
+	}
 }
 
 // TestPredictionCalibrationMetrics: once the model is warm, every
