@@ -1,11 +1,12 @@
 # Build, vet, lint and test the whole module. `make check` is the CI
 # gate: the concurrent plan cache and the Optima in-flight dedup must
 # stay race-clean, and the adhoclint invariant suite must report zero
-# findings (determinism, float discipline, error hygiene — DESIGN.md §11).
+# findings (determinism, error hygiene, lock and context discipline —
+# DESIGN.md §11/§16).
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-fix-hints lint-json lint-vet test loc loc-diff race check bench bench-json bench-check bench-compare bench-vet fuzz
+.PHONY: all build vet fmt-check lint test loc loc-diff race check bench bench-json bench-check bench-compare bench-vet fuzz
 
 all: check
 
@@ -21,30 +22,12 @@ fmt-check:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
-# Static invariant suite (internal/lint via cmd/adhoclint): the nine
-# analyzers of DESIGN.md §11/§16 — determinism (detrange, wallclock,
-# floateq), error hygiene (errdrop), concurrency (lockbalance, pairwise,
-# atomicmix, ctxflow) and byte purity (bytepurity) — plus the bare-
-# directive check. Exits non-zero on any finding.
+# Static invariant suite (internal/lint via cmd/adhoclint): the five
+# analyzers of DESIGN.md §11/§16 — determinism (detrange, wallclock),
+# error hygiene (errdrop) and concurrency (lockbalance, ctxflow) — plus
+# the bare-directive check. Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/adhoclint ./...
-
-# Same gate, but each finding is followed by a one-line remediation hint.
-lint-fix-hints:
-	$(GO) run ./cmd/adhoclint -hints ./...
-
-# Same gate emitting machine-readable findings (file/line/col/analyzer/
-# message/hint), for editor integrations and CI annotation tooling.
-lint-json:
-	$(GO) run ./cmd/adhoclint -json ./...
-
-# The same suite through `go vet -vettool`: proves the unified driver
-# speaks cmd/vet's unitchecker protocol, and gives vet's per-package
-# caching for incremental runs.
-lint-vet:
-	@mkdir -p bin
-	$(GO) build -o bin/adhoclint ./cmd/adhoclint
-	$(GO) vet -vettool=$(CURDIR)/bin/adhoclint ./...
 
 test:
 	$(GO) test ./...
@@ -125,11 +108,12 @@ bench-compare:
 	$(GO) run ./cmd/benchrunner -compare $(BENCH_OUT) -base $(BASE) -tolerance $(TOLERANCE)
 
 # The fleet benchmark (bench/) is a module of its own, so `go build
-# ./...` never compiles it. Vet and test it against the current tree so
-# a root API change that breaks the benchmark fails here, not when the
-# benchmark runs.
+# ./...` never compiles it. Vet, test and lint it against the current
+# tree so a root API change that breaks the benchmark fails here, not
+# when the benchmark runs; the lint also keeps every //lint: directive
+# in bench/ owned by an analyzer of the suite.
 bench-vet:
-	cd bench && $(GO) vet ./... && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run adhocgrid/cmd/adhoclint ./...
 
 # Fuzz smokes: the chunked timeline against the naive reference, the
 # fault-DSL parser against its canonical re-spelling (parse/String round

@@ -3,29 +3,23 @@
 // golang.org/x/tools/go/analysis, implemented entirely on the standard
 // library so the module keeps zero third-party dependencies.
 //
-// Standalone (the `make lint` gate):
+// Usage (the `make lint` gate):
 //
-//	adhoclint [-hints] [-json] [packages...]     # default ./...
-//	adhoclint -list
-//
-// As a vet tool, speaking the unitchecker .cfg protocol:
-//
-//	go vet -vettool=$(pwd)/bin/adhoclint ./...
+//	adhoclint [packages]     # default ./...
 //
 // Exit status is 0 when clean, 2 when findings were reported, 1 on
-// driver errors. In vettool mode only non-test files are reported:
-// tests may deliberately exercise nondeterminism.
+// driver errors. Only non-test files are analyzed: tests may
+// deliberately exercise nondeterminism.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/token"
 	"go/types"
 	"os"
 	"sort"
-	"strings"
 
 	"adhocgrid/internal/lint"
 	"adhocgrid/internal/lint/load"
@@ -36,59 +30,24 @@ func main() {
 }
 
 func run(args []string) int {
-	fs := flag.NewFlagSet("adhoclint", flag.ExitOnError)
-	version := fs.String("V", "", "print version and exit (go vet protocol)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
-	list := fs.Bool("list", false, "list the registered analyzers (name, scope, doc) and exit")
-	hints := fs.Bool("hints", false, "print a fix hint under each finding")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (machine-readable, for CI annotations)")
+	fs := flag.NewFlagSet("adhoclint", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: adhoclint [packages]   (default ./...)")
+	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 1
 	}
-
-	switch {
-	case *version != "":
-		// `go vet` probes the tool with -V=full and hashes this line
-		// into its cache key.
-		fmt.Printf("adhoclint version v1-%s\n", suiteFingerprint())
-		return 0
-	case *printFlags:
-		fmt.Println("[]")
-		return 0
-	case *list:
-		// One analyzer per line: name, scope, doc. The README table
-		// mirrors this output, so it cannot drift silently.
-		for _, a := range lint.Suite() {
-			fmt.Printf("%-12s %-42s %s\n", a.Name, a.Scope, a.Doc)
-		}
-		return 0
-	}
-
-	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
-		return runVet(fs.Arg(0))
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	return runStandalone(patterns, *hints, *jsonOut)
-}
 
-// suiteFingerprint folds the analyzer names into the version string so
-// go vet's result cache invalidates when the suite changes shape.
-func suiteFingerprint() string {
-	var names []string
-	for _, a := range lint.Suite() {
-		names = append(names, a.Name)
-	}
-	return strings.Join(names, "+")
-}
-
-// runStandalone loads the named patterns (plus dependencies' export
-// data), type-checks each target package from source, and applies every
-// in-scope analyzer.
-func runStandalone(patterns []string, hints, jsonOut bool) int {
+	// Load the named patterns (plus dependencies' export data),
+	// type-check each target package from source, and apply every
+	// in-scope analyzer.
 	pkgs, err := load.List("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -108,72 +67,17 @@ func runStandalone(patterns []string, hints, jsonOut bool) int {
 	imp := load.Importer(fset, nil, exports)
 	var diags []lint.Diagnostic
 	for _, p := range targets {
-		ds, err := analyzePackage(fset, p.ImportPath, p.Dir, p.GoFiles, imp)
+		ds, err := analyzePackage(fset, p, imp)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adhoclint: %s: %v\n", p.ImportPath, err)
 			return 1
 		}
 		diags = append(diags, ds...)
 	}
-	if jsonOut {
-		return reportJSON(diags)
-	}
-	return report(diags, hints)
-}
 
-// analyzePackage type-checks one package from source and runs every
-// analyzer whose scope covers it. Findings in _test.go files are
-// dropped: tests may deliberately exercise nondeterminism, and the
-// standalone loader never feeds them anyway.
-func analyzePackage(fset *token.FileSet, importPath, dir string, goFiles []string, imp types.Importer) ([]lint.Diagnostic, error) {
-	canonical := lint.PackagePath(importPath)
-	var scoped []lint.ScopedAnalyzer
-	for _, a := range lint.Suite() {
-		if a.AppliesTo(canonical) {
-			scoped = append(scoped, a)
-		}
-	}
-	if len(scoped) == 0 {
-		return nil, nil
-	}
-	files, err := load.ParseDir(fset, dir, goFiles)
-	if err != nil {
-		return nil, err
-	}
-	pkg, info, err := load.Check(fset, canonical, files, imp)
-	if err != nil {
-		return nil, err
-	}
-	var diags []lint.Diagnostic
-	for _, a := range scoped {
-		ds, err := lint.NewPass(a.Analyzer, fset, files, pkg, info).Run()
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range ds {
-			if !strings.HasSuffix(d.Pos.Filename, "_test.go") {
-				diags = append(diags, d)
-			}
-		}
-	}
-	// Framework-level directive hygiene: a bare or unknown //lint:
-	// directive is an error everywhere, regardless of analyzer scope.
-	for _, d := range lint.BareDirectives(fset, files, lint.KnownDirectives(lint.Suite())) {
-		if !strings.HasSuffix(d.Pos.Filename, "_test.go") {
-			diags = append(diags, d)
-		}
-	}
-	return diags, nil
-}
-
-// report prints findings and returns the process exit code.
-func report(diags []lint.Diagnostic, hints bool) int {
 	lint.SortDiagnostics(diags)
 	for _, d := range diags {
 		fmt.Println(d)
-		if hints && d.Analyzer.Hint != "" {
-			fmt.Printf("\thint: %s\n", d.Analyzer.Hint)
-		}
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "adhoclint: %d finding(s)\n", len(diags))
@@ -182,38 +86,29 @@ func report(diags []lint.Diagnostic, hints bool) int {
 	return 0
 }
 
-// reportJSON prints findings as a JSON array (the `make lint-json`
-// target; CI turns these into inline annotations). The schema is
-// stable: file, line, col, analyzer, message, hint.
-func reportJSON(diags []lint.Diagnostic) int {
-	lint.SortDiagnostics(diags)
-	type jsonDiag struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-		Hint     string `json:"hint,omitempty"`
+// analyzePackage type-checks one package's non-test files (go list's
+// GoFiles) from source and runs every analyzer whose scope covers it.
+func analyzePackage(fset *token.FileSet, p *load.Package, imp types.Importer) ([]lint.Diagnostic, error) {
+	files, err := load.ParseDir(fset, p.Dir, p.GoFiles)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer.Name,
-			Message:  d.Message,
-			Hint:     d.Analyzer.Hint,
-		})
+	pkg, info, err := load.Check(fset, p.ImportPath, files, imp)
+	if err != nil {
+		return nil, err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	var diags []lint.Diagnostic
+	for _, a := range lint.Suite() {
+		if !a.AppliesTo(p.ImportPath) {
+			continue
+		}
+		ds, err := lint.NewPass(a.Analyzer, fset, files, pkg, info).Run()
+		if err != nil {
+			return nil, err
+		}
+		diags = append(diags, ds...)
 	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
+	// Framework-level directive hygiene: a bare or unknown //lint:
+	// directive is an error everywhere, regardless of analyzer scope.
+	return append(diags, lint.BareDirectives(fset, files, lint.KnownDirectives(lint.Suite()))...), nil
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,6 +49,9 @@ func run(args []string, out *os.File) error {
 		check     = fs.Bool("check", false, "after running, fail unless the report meets the alloc caps")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage, as asked
+		}
 		return err
 	}
 	if *compare != "" {

@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -45,6 +46,19 @@ func writeCSV(dir, name string, write func(io.Writer) error) {
 	if err := f.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: csv %s: close: %v\n", path, err)
 	}
+}
+
+// experimentNames lists every value -exp accepts besides "all", in the
+// order main runs them.
+var experimentNames = []string{
+	"table1", "table2", "table3", "table4", "fig2", "fig3", "scaling", "faults",
+	"robustness", "horizon", "fig4", "fig5", "fig6", "fig7", "perf",
+}
+
+// validExperiment reports whether -exp name (lower-cased) selects
+// something to run.
+func validExperiment(name string) bool {
+	return name == "all" || slices.Contains(experimentNames, name)
 }
 
 func main() {
@@ -87,6 +101,11 @@ func main() {
 	}
 
 	want := strings.ToLower(*expName)
+	if !validExperiment(want) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want all, %s)\n",
+			*expName, strings.Join(experimentNames, ", "))
+		os.Exit(2)
+	}
 	run := func(name string) bool { return want == "all" || want == name }
 
 	start := time.Now() //lint:wallclock elapsed-time reporting only; never a scheduling input
@@ -100,9 +119,8 @@ func main() {
 		fmt.Println(exp.Table2())
 	}
 
-	needEnv := want == "all" || strings.HasPrefix(want, "fig") || want == "table3" || want == "table4" || want == "perf" || want == "horizon" || want == "robustness" || want == "scaling" || want == "faults"
-	if !needEnv {
-		return
+	if want == "table1" || want == "table2" {
+		return // the static tables need no scenario environment
 	}
 	env, err := exp.NewEnv(sc)
 	if err != nil {

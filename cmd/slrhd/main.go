@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -65,6 +66,9 @@ func run(args []string) error {
 			"comma-separated base URLs of running slrhd instances; POST a probe request to each and assert the responses are byte-identical, then exit (fleet self-test)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage, as asked
+		}
 		return err
 	}
 	cfg := serve.Config{

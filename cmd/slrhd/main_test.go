@@ -46,3 +46,10 @@ func TestRunParity(t *testing.T) {
 		t.Fatalf("single address: err = %v, want a refusal", err)
 	}
 }
+
+// TestRunHelp: -h prints the usage and succeeds, so `slrhd -h` exits 0.
+func TestRunHelp(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+}

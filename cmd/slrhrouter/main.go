@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -65,6 +66,9 @@ func run(args []string) error {
 		chaosSeed     = fs.Uint64("chaos-seed", 1, "seed for the chaos plan's deterministic fault schedule")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage, as asked
+		}
 		return err
 	}
 	cfg := fabric.Config{

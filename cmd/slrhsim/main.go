@@ -16,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,6 +67,9 @@ func run(args []string, stdout io.Writer) error {
 	chain := fs.Bool("chain", false, "print the critical chain that determined the makespan")
 	jsonOut := fs.Bool("json", false, "emit the POST /v1/map response schema as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage, as asked
+		}
 		return err
 	}
 

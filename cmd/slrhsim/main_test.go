@@ -273,3 +273,15 @@ func TestJSONRejectsDefaultedZeros(t *testing.T) {
 		})
 	}
 }
+
+// TestRunHelp: -h prints the usage and succeeds, so `slrhsim -h` exits
+// 0 without running a scenario.
+func TestRunHelp(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-h"}, &out); err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run(-h) wrote a report:\n%s", out.String())
+	}
+}

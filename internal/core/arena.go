@@ -65,8 +65,8 @@ func RunArena(inst *workload.Instance, cfg Config, a *Arena) (*Result, error) {
 // a parked (or fresh) arena, Put parks it again after the run. Parked
 // arenas keep their grown buffers, so a server in steady state admits
 // scheduling requests without rebuilding runner state. Every Get must be
-// paired with a Put on all paths (enforced by the adhoclint pairwise
-// analyzer).
+// paired with a Put on all paths (serve's TestExecuteArenaByteIdentical
+// checks that ExecuteArena returns its arena).
 type ArenaPool struct {
 	mu   sync.Mutex
 	free []*Arena

@@ -12,10 +12,6 @@ func TestDetrange(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "detrange"), lint.Detrange)
 }
 
-func TestFloateq(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "floateq"), lint.Floateq)
-}
-
 func TestWallclock(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "wallclock"), lint.Wallclock)
 }
@@ -28,18 +24,6 @@ func TestLockbalance(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "lockbalance"), lint.Lockbalance)
 }
 
-func TestAtomicmix(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "atomicmix"), lint.Atomicmix)
-}
-
 func TestCtxflow(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "ctxflow"), lint.Ctxflow)
-}
-
-func TestPairwise(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "pairwise"), lint.Pairwise)
-}
-
-func TestBytepurity(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "bytepurity"), lint.Bytepurity)
 }

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// Ctxflow statically flags the PR 6 disconnect-leak bug class in the
-// service package: request-path code that can outlive the client. It
+// Ctxflow statically flags the PR 6 disconnect-leak bug class in every
+// package: request-path code that can outlive the client. It
 // builds the package-local call graph rooted at HTTP handlers (any
 // function or literal with a func(http.ResponseWriter, *http.Request)
 // signature) and, in every reachable function — including closures
@@ -28,11 +28,7 @@ import (
 var Ctxflow = &Analyzer{
 	Name:      "ctxflow",
 	Directive: "ctxflow",
-	Doc: "handler-reachable goroutine spawns, blocking receives, and selects must be " +
-		"cancellable via context.Done(); exempt with //lint:ctxflow <reason>",
-	Hint: "wrap the receive in select { case <-ch: case <-ctx.Done(): } so a disconnected " +
-		"client releases the handler; annotate justified waits with //lint:ctxflow <reason>",
-	Run: runCtxflow,
+	Run:       runCtxflow,
 }
 
 func runCtxflow(pass *Pass) error {

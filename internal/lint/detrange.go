@@ -21,11 +21,7 @@ import (
 var Detrange = &Analyzer{
 	Name:      "detrange",
 	Directive: "sorted",
-	Doc: "flags map iteration and pointer-keyed maps in determinism-critical packages; " +
-		"exempt with //lint:sorted <proof> where order provably cannot escape",
-	Hint: "iterate a sorted slice of keys (or index by a dense int id) instead; " +
-		"if iteration order provably cannot escape, add //lint:sorted <one-line proof>",
-	Run: runDetrange,
+	Run:       runDetrange,
 }
 
 func runDetrange(pass *Pass) error {

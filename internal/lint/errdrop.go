@@ -23,11 +23,7 @@ import (
 var Errdrop = &Analyzer{
 	Name:      "errdrop",
 	Directive: "errdrop",
-	Doc: "flags discarded error returns (bare calls, blank assignments, defer/go) in " +
-		"experiment and command code; exempt with //lint:errdrop <reason>",
-	Hint: "propagate the error, or log it explicitly (the Fig2 pattern); for a " +
-		"deliberate best-effort call add //lint:errdrop <reason>",
-	Run: runErrdrop,
+	Run:       runErrdrop,
 }
 
 func runErrdrop(pass *Pass) error {

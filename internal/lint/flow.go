@@ -8,10 +8,10 @@ import (
 	"sort"
 )
 
-// flow.go is the shared intra-procedural engine behind lockbalance and
-// pairwise: a small path-sensitive abstract interpreter over function
-// bodies that tracks acquire/release balances (lock holds, paired
-// calls) through branches, loops, switches, selects, and defers.
+// flow.go is the intra-procedural engine behind lockbalance: a small
+// path-sensitive abstract interpreter over function bodies that tracks
+// acquire/release balances (lock holds) through branches, loops,
+// switches, selects, and defers.
 //
 // The abstraction is a multiset of held keys per execution path. The
 // interpreter carries a bounded SET of such states (one per feasible
@@ -83,8 +83,9 @@ func mergeStates(sts []balState) []balState {
 	return out
 }
 
-// flowHooks parameterizes the engine. classify is mandatory; every
-// other hook is optional (nil disables the corresponding check).
+// flowHooks connects the engine to its analyzer: classify decides what
+// is tracked, and each other hook reports one kind of finding. Every
+// hook is mandatory.
 type flowHooks struct {
 	// classify maps a call to a tracked key and a delta: +1 acquire,
 	// -1 release. key == "" means the call is not tracked.
@@ -96,7 +97,7 @@ type flowHooks struct {
 	exit func(exitPos token.Pos, key string, h held)
 
 	// negative fires when a release finds no matching acquire on any
-	// incoming path. nil clamps silently (pairwise handoff receivers).
+	// incoming path.
 	negative func(pos token.Pos, key string)
 
 	// reacquire fires when an acquire sees the key already held on
@@ -425,9 +426,6 @@ func (fa *flowFunc) execSelect(s *ast.SelectStmt, sts []balState) flowOut {
 // balance of the tracked calls in its body (a balanced lock/unlock
 // closure contributes nothing).
 func (fa *flowFunc) execDefer(s *ast.DeferStmt) {
-	if fa.hooks.classify == nil {
-		return
-	}
 	if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
 		net := make(map[string]int)
 		ast.Inspect(fl.Body, func(n ast.Node) bool {
@@ -478,34 +476,28 @@ func (fa *flowFunc) evalCall(call *ast.CallExpr, sts []balState) []balState {
 		return fa.applyDelta(call.Pos(), key, delta, sts)
 	}
 	// Not tracked: is it a blocking operation of interest?
-	if fa.hooks.condWait != nil {
-		if m := syncMethod(fa.pass, call); m != "" {
-			switch m {
-			case "Cond.Wait":
-				fa.hooks.condWait(call, fa.inFor > 0, anyHeld(sts))
-				return sts // Wait releases the lock while parked
-			case "WaitGroup.Wait":
-				fa.blockingOp(call.Pos(), "sync.WaitGroup.Wait", sts)
-				return sts
-			}
-		}
+	switch syncMethod(fa.pass, call) {
+	case "Cond.Wait":
+		fa.hooks.condWait(call, fa.inFor > 0, anyHeld(sts))
+		return sts // Wait releases the lock while parked
+	case "WaitGroup.Wait":
+		fa.blockingOp(call.Pos(), "sync.WaitGroup.Wait", sts)
+		return sts
 	}
-	if fa.hooks.blocking != nil {
-		if fn := calleeFunc(fa.pass, call); fn != nil && fn.Pkg() != nil &&
-			fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
-			fa.blockingOp(call.Pos(), "time.Sleep", sts)
-			return sts
-		}
-		if name, ok := funcValueCall(fa.pass, call); ok {
-			fa.blockingOp(call.Pos(), fmt.Sprintf("call through function value %s", name), sts)
-		}
+	if fn := calleeFunc(fa.pass, call); fn != nil && fn.Pkg() != nil &&
+		fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
+		fa.blockingOp(call.Pos(), "time.Sleep", sts)
+		return sts
+	}
+	if name, ok := funcValueCall(fa.pass, call); ok {
+		fa.blockingOp(call.Pos(), fmt.Sprintf("call through function value %s", name), sts)
 	}
 	return sts
 }
 
 func (fa *flowFunc) applyDelta(pos token.Pos, key string, delta int, sts []balState) []balState {
 	if delta > 0 {
-		if fa.hooks.reacquire != nil && len(sts) > 0 {
+		if len(sts) > 0 {
 			all := true
 			for _, st := range sts {
 				if st[key].count == 0 {
@@ -524,17 +516,15 @@ func (fa *flowFunc) applyDelta(pos token.Pos, key string, delta int, sts []balSt
 		return sts
 	}
 	// Release.
-	if fa.hooks.negative != nil {
-		any := false
-		for _, st := range sts {
-			if st[key].count > 0 {
-				any = true
-				break
-			}
+	acquired := false
+	for _, st := range sts {
+		if st[key].count > 0 {
+			acquired = true
+			break
 		}
-		if !any && len(sts) > 0 {
-			fa.reports = append(fa.reports, func() { fa.hooks.negative(pos, key) })
-		}
+	}
+	if !acquired && len(sts) > 0 {
+		fa.reports = append(fa.reports, func() { fa.hooks.negative(pos, key) })
 	}
 	for _, st := range sts {
 		if h := st[key]; h.count > 0 {
@@ -547,7 +537,7 @@ func (fa *flowFunc) applyDelta(pos token.Pos, key string, delta int, sts []balSt
 // blockingOp reports a potentially blocking operation if any tracked
 // key is held on some incoming path.
 func (fa *flowFunc) blockingOp(pos token.Pos, what string, sts []balState) {
-	if fa.hooks.blocking == nil || fa.noBlock {
+	if fa.noBlock {
 		return
 	}
 	key, _, ok := firstHeld(sts)
@@ -586,9 +576,6 @@ func anyHeld(sts []balState) bool {
 // checkExit applies deferred releases to each state and reports any
 // pending balance, once per (key, acquire site).
 func (fa *flowFunc) checkExit(exitPos token.Pos, sts []balState) {
-	if fa.hooks.exit == nil {
-		return
-	}
 	type pend struct {
 		key string
 		h   held
@@ -623,7 +610,7 @@ func (fa *flowFunc) checkExit(exitPos token.Pos, sts []balState) {
 // checkLoopInvariant verifies every post-iteration state matches some
 // loop-entry state, so balances cannot accumulate across iterations.
 func (fa *flowFunc) checkLoopInvariant(pos token.Pos, entry, iter []balState) {
-	if fa.hooks.loopImbalance == nil || len(entry) == 0 {
+	if len(entry) == 0 {
 		return
 	}
 	entrySigs := make(map[string]bool, len(entry))

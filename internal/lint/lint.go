@@ -32,11 +32,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test expectations.
 	Name string
-	// Doc is the one-paragraph description printed by `adhoclint -list`.
-	Doc string
-	// Hint is a one-line remediation suggestion printed by
-	// `adhoclint -hints` (the Makefile's lint-fix-hints target).
-	Hint string
 	// Directive is the //lint:<directive> name that exempts a finding.
 	Directive string
 	// Run reports findings on one type-checked package via pass.Reportf.
@@ -171,15 +166,9 @@ func Inspect(files []*ast.File, f func(ast.Node) bool) {
 
 // BareDirective owns the framework-level directive hygiene check. It
 // is not part of Suite() — it has no Run and needs no type info — but
-// the drivers run BareDirectives on every package so a malformed
+// the driver runs BareDirectives on every package so a malformed
 // exemption is an error instead of a silent no-op.
-var BareDirective = &Analyzer{
-	Name: "baredirective",
-	Doc: "a //lint: directive must name a known analyzer directive and carry a one-line " +
-		"justification; a bare or unknown directive is an error, not a silent no-op",
-	Hint: "write //lint:<directive> <one-line justification>, using a directive an " +
-		"analyzer in the suite owns",
-}
+var BareDirective = &Analyzer{Name: "baredirective"}
 
 // BareDirectives scans files for //lint: directives that are bare (no
 // justification — they exempt nothing, so they are dead weight that

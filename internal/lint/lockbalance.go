@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// Lockbalance proves mutex discipline on every path through the
-// concurrency-bearing packages (ConcurrencyPackages: the service and
-// its run pool, the core's arena free-list, the harness's optima dedup,
-// the fabric and chaos tiers). Using the flow engine's path-sensitive
+// Lockbalance proves mutex discipline on every path through every
+// package (the service's flight map and run pool, the core's arena
+// free-list, the harness's optima dedup, the fabric and chaos tiers
+// are the lock holders today). Using the flow engine's path-sensitive
 // interpreter it checks, per function:
 //
 //   - every sync.Mutex/RWMutex Lock (RLock) is released on every exit
@@ -32,11 +32,7 @@ import (
 var Lockbalance = &Analyzer{
 	Name:      "lockbalance",
 	Directive: "lockbalance",
-	Doc: "proves Lock/Unlock balance on all paths, wait-loop shape for sync.Cond, and no " +
-		"blocking op or callback under a held mutex; exempt with //lint:lockbalance <reason>",
-	Hint: "unlock on every return (or defer the unlock), keep Cond.Wait inside its for " +
-		"loop, and move blocking work outside the critical section",
-	Run: runLockbalance,
+	Run:       runLockbalance,
 }
 
 func runLockbalance(pass *Pass) error {

@@ -24,11 +24,7 @@ import (
 var Wallclock = &Analyzer{
 	Name:      "wallclock",
 	Directive: "wallclock",
-	Doc: "forbids wall-clock reads (time.Now/Since/Until, timers) and global math/rand " +
-		"outside annotated timing-report sites; exempt with //lint:wallclock <reason>",
-	Hint: "thread simulated cycles / a seeded *rng.Rand instead; for elapsed-time " +
-		"reporting add //lint:wallclock <reason>",
-	Run: runWallclock,
+	Run:       runWallclock,
 }
 
 var wallclockTimeFuncs = map[string]bool{

@@ -120,13 +120,13 @@ func better(x, y Point) bool {
 	// operands come out of the same deterministic evaluation pipeline,
 	// and a total order (not an epsilon band, which is not transitive)
 	// is what makes the winner independent of evaluation order.
-	if x.Metrics.TEC != y.Metrics.TEC { //lint:floateq bit-exact total order over identically computed values
+	if x.Metrics.TEC != y.Metrics.TEC {
 		return x.Metrics.TEC < y.Metrics.TEC
 	}
-	if x.Metrics.AETSeconds != y.Metrics.AETSeconds { //lint:floateq bit-exact total order over identically computed values
+	if x.Metrics.AETSeconds != y.Metrics.AETSeconds {
 		return x.Metrics.AETSeconds < y.Metrics.AETSeconds
 	}
-	if x.Weights.Alpha != y.Weights.Alpha { //lint:floateq bit-exact total order over identically computed values
+	if x.Weights.Alpha != y.Weights.Alpha {
 		return x.Weights.Alpha < y.Weights.Alpha
 	}
 	return x.Weights.Beta < y.Weights.Beta

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// These are the regression tests behind the //lint:pairwise handoff
-// annotations in handleMap: every admitting Decide hands its predicted
-// cost to exactly one Complete — in runJob on the completion and
-// dead-client paths, or inline on a queue refusal — so the backlog
-// gauge always drains to zero at quiescence, and no flight outlives
-// its waiters.
+// These are the regression tests behind the handoff comments in
+// handleMap: every admitting Decide hands its predicted cost to exactly
+// one Complete — in runJob on the completion and dead-client paths, or
+// inline on a queue refusal — so the backlog gauge always drains to
+// zero at quiescence, and no flight outlives its waiters. The waiter
+// refcount's cancel path is TestClientDisconnectMidQueueSkipsRun's.
 
 // drainBacklog waits for the admission backlog to hit zero; Complete
 // runs before the response is written, so one poll normally suffices.

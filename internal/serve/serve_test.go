@@ -361,7 +361,9 @@ func TestExecuteRejectsBeforeComputing(t *testing.T) {
 // change a single response byte, including when the arena is reused
 // across different workloads. Requests alternate A, B, A so the third
 // run reuses the arena the first one grew — any state residue would
-// change the bytes. The maxmax request never borrows an arena.
+// change the bytes. The pool holds one arena throughout, and after
+// every request it must be back in the pool: ExecuteArena pairs each
+// Get with a Put on every path. The maxmax request never borrows one.
 func TestExecuteArenaByteIdentical(t *testing.T) {
 	reqs := []Request{
 		{N: 48, Case: "A", Heuristic: "slrh1", Seed: 11, Alpha: 0.5, Beta: 0.3},
@@ -371,6 +373,8 @@ func TestExecuteArenaByteIdentical(t *testing.T) {
 		{N: 48, Case: "B", Heuristic: "maxmax", Seed: 11, Alpha: 0.5, Beta: 0.3},
 	}
 	ap := core.NewArenaPool()
+	arena := ap.Get()
+	ap.Put(arena)
 	for k, req := range reqs {
 		plain, err := Execute(req, 0)
 		if err != nil {
@@ -391,6 +395,11 @@ func TestExecuteArenaByteIdentical(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("req %d (%s n=%d): arena-backed response differs from plain", k, req.Heuristic, req.N)
 		}
+		a := ap.Get()
+		if a != arena {
+			t.Fatalf("req %d (%s n=%d): the pooled arena was not returned to the pool", k, req.Heuristic, req.N)
+		}
+		ap.Put(a)
 	}
 }
 

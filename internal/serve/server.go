@@ -337,19 +337,19 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// coalesce onto one computation instead of each burning a worker.
 	s.flightMu.Lock()
 	if f, ok := s.flights[key]; ok {
-		//lint:pairwise handoff: released by awaitFlight's cancel path or consumed when finishFlight closes done
+		// Handoff: released by awaitFlight's cancel path or consumed when finishFlight closes done
 		f.waiters.Add(1)
 		s.flightMu.Unlock()
 		s.awaitFlight(w, r, f, dispositionCoalesced)
 		return
 	}
 	f := &flight{done: make(chan struct{})}
-	//lint:pairwise handoff: the leader's ref; released by awaitFlight's cancel path or consumed when finishFlight closes done
+	// Handoff: the leader's ref; released by awaitFlight's cancel path or consumed when finishFlight closes done
 	f.waiters.Store(1)
 	s.flights[key] = f
 	s.flightMu.Unlock()
 
-	//lint:pairwise handoff: admitted cost leaves the backlog via Complete in runJob (or below, on submit refusal)
+	// Handoff: admitted cost leaves the backlog via Complete in runJob (or below, on submit refusal)
 	d := s.admission.Decide(req.Heuristic, req.N, cls)
 	if !d.Admit {
 		s.shedTotal[d.Reason].Inc()
